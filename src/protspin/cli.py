@@ -6,7 +6,8 @@ multi (three orthogonal fields), reversal (momentum-reversal weights),
 reconstruct (Bloch inversion), design (lab-parameter bridge), verify
 (oracle crosschecks).  Angles are taken in degrees on the command line.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 oracle did not converge within its step cap.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .multimeas import (
     successive_schedule,
     term_magnitudes,
 )
-from .oracle import HamiltonianSchedule, SpinState, propagate
+from .oracle import ConvergenceError, HamiltonianSchedule, SpinState, propagate
 from .reconstruct import (
     ExpectationTriple,
     corrupted_reconstruction,
@@ -611,6 +612,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

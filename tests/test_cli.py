@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import protspin.cli
+from protspin import ConvergenceError
 from protspin.cli import main
 
 
@@ -312,3 +314,15 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_oracle_non_convergence_is_exit_3(self, capsys, monkeypatch):
+        def never_converges(*args, **kwargs):
+            raise ConvergenceError("no convergence to 1e-10 within 4194304 steps")
+
+        monkeypatch.setattr(protspin.cli, "propagate", never_converges)
+        code, out, err = run(
+            capsys, "multi", "--omega0T", "21", "--xi", "0.002", "0.0016", "0.0012", "--oracle",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: no convergence to 1e-10 within 4194304 steps\n"

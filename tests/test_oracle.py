@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 from protspin import (
     ConvergenceError,
     CouplingProfile,
+    FieldSpec,
     HamiltonianSchedule,
     MeasurementGeometry,
+    MultiFieldConfig,
     Segment,
     SpinState,
     amplitude_exact,
+    coupling_eval,
     crosscheck,
     propagate,
+    simultaneous_schedule,
+    successive_schedule,
     survival_split,
 )
 from helpers import random_geometries
@@ -156,6 +161,87 @@ class TestPropagate:
             assert abs(st_out.c_minus - amplitude_exact(geom).amplitude_minus) < 1e-10
 
 
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def dense_midpoint_product(geom, profile, n):
+    """U[n-1] @ ... @ U[0], each step exponentiated by diagonalizing its Hamiltonian."""
+    n_sigma = (
+        math.sin(geom.gamma) * math.cos(geom.eta) * SIGMA_X
+        + math.sin(geom.gamma) * math.sin(geom.eta) * SIGMA_Y
+        + math.cos(geom.gamma) * SIGMA_Z
+    )
+    unitary = np.eye(2, dtype=complex)
+    for j in range(n):
+        g = geom.xi * coupling_eval(profile, (j + 0.5) / n)
+        energies, vectors = np.linalg.eigh(SIGMA_Z + g * n_sigma)
+        step = vectors @ np.diag(np.exp(0.5j * geom.omega0T / n * energies)) @ vectors.conj().T
+        unitary = step @ unitary
+    return unitary
+
+
+def exact_schedule_unitary(schedule):
+    """Compose each constant segment's exact SU(2) propagator from the closed forms."""
+    unitary = np.eye(2, dtype=complex)
+    for seg in schedule.segments:
+        correct, reversed_ = survival_split(seg.geom)
+        alpha = correct + reversed_
+        beta = -np.conjugate(amplitude_exact(seg.geom).amplitude_minus)
+        unitary = np.array([[alpha, beta], [-np.conjugate(beta), np.conjugate(alpha)]]) @ unitary
+    return unitary
+
+
+def three_field_config(omega0T):
+    return MultiFieldConfig(
+        fields=(
+            FieldSpec(0.4, 0.7, 0.2, direction_index=1),
+            FieldSpec(0.3, 0.7 + 0.5 * math.pi, 0.2, direction_index=2),
+            FieldSpec(0.2, 0.5 * math.pi, 0.2 + 0.5 * math.pi, direction_index=3),
+        ),
+        omega0T=omega0T,
+    )
+
+
+class TestKernel:
+    def test_matches_dense_matrix_product(self):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=20.0)
+        profile = CouplingProfile.optimized()
+        dense = dense_midpoint_product(geom, profile, 2**8)
+        sched = HamiltonianSchedule.single(geom, profile)
+        for psi0, column in ((SpinState.plus(), 0), (SpinState.minus(), 1)):
+            out = propagate(sched, psi0, steps=2**8).as_array()
+            assert np.max(np.abs(out - dense[:, column])) < 1e-13
+
+    def test_unitarity_forward_and_reverse_across_chunks(self):
+        # 2**18 steps span two chunks of the product reduction
+        geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=50.0)
+        sched = HamiltonianSchedule.single(geom, CouplingProfile.optimized())
+        fwd = propagate(sched, SpinState.plus(), steps=2**18)
+        back = propagate(sched, fwd, steps=2**18, reverse=True)
+        assert abs(fwd.norm() - 1.0) < 1e-14
+        assert abs(back.norm() - 1.0) < 1e-14
+        assert abs(back.c_plus - 1.0) < 1e-12
+        assert abs(back.c_minus) < 1e-12
+
+
+class TestStaticFastPath:
+    @pytest.mark.parametrize("make_schedule", [successive_schedule, simultaneous_schedule])
+    @pytest.mark.parametrize("omega0T", [0.3, 21.0, 700.0])
+    def test_matches_composed_exact_propagators(self, make_schedule, omega0T):
+        sched = make_schedule(three_field_config(omega0T))
+        exact = exact_schedule_unitary(sched)
+        fwd = propagate(sched, SpinState.plus()).as_array()
+        back = propagate(sched, SpinState.plus(), reverse=True).as_array()
+        assert np.max(np.abs(fwd - exact[:, 0])) < 1e-12
+        assert np.max(np.abs(back - np.conjugate(exact[0, :]))) < 1e-12
+
+    def test_takes_one_step_per_segment(self):
+        sched = successive_schedule(three_field_config(21.0))
+        assert propagate(sched, SpinState.plus()) == propagate(sched, SpinState.plus(), steps=3)
+
+
 class TestCrosscheck:
     def test_constant_profile_matches_closed_form(self):
         rep = crosscheck(
@@ -163,6 +249,8 @@ class TestCrosscheck:
         )
         assert rep.exact_deviation is not None
         assert rep.exact_deviation < 1e-10
+        # crosscheck keeps the adaptive driver, which the static fast path rests on
+        assert rep.steps_used >= 2**15
         assert rep.convergence_order is None
 
     def test_perturbative_regime(self):
