@@ -29,14 +29,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
-
-# Knot-spacing cap for the oscillation-aware quadrature used by tabulated
-# profiles: panels must resolve both the profile and the e^{i w s} phase.
-_MAX_PANEL_FRACTION = 1.0 / 64.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# pi - math.pi, so that (math.pi - x) + _PI_LO is pi - x to rounding even
+# where the difference cancels.
+_PI_LO = 1.2246467991473532e-16
 
 # Tabulated profiles must integrate to 1; larger residuals are construction
 # errors rather than round-off.
@@ -168,10 +165,7 @@ class CouplingProfile:
                 raise ValueError("tabulated samples must span s = 0 to s = 1")
             if not all(math.isfinite(s) and math.isfinite(v) for s, v in samples):
                 raise ValueError("tabulated samples must be finite")
-            # Trapezoid over the knots integrates the interpolant exactly.
-            area = 0.0
-            for (s0, v0), (s1, v1) in zip(samples, samples[1:]):
-                area += 0.5 * (v0 + v1) * (s1 - s0)
+            area = _knot_integral(*_knot_arrays(self), 0.0).real
             if abs(area - 1.0) > TABULATED_NORMALIZATION_TOLERANCE:
                 raise ValueError(
                     f"tabulated profile integrates to {area!r}, "
@@ -244,72 +238,98 @@ def coupling_eval(profile: CouplingProfile, t_over_T):
 
 
 def normalization_residual(profile: CouplingProfile) -> float:
-    """|int_0^1 gT(s) ds - 1|, evaluated by adaptive quadrature."""
-    if profile.kind is ProfileKind.TABULATED:
-        interior = [s for s, _ in profile.samples[1:-1]]
-        total, _ = quad(
-            lambda s: coupling_eval(profile, s), 0.0, 1.0,
-            points=interior or None, limit=max(50, 10 * len(profile.samples)),
-        )
-    else:
-        total, _ = quad(lambda s: coupling_eval(profile, s), 0.0, 1.0, limit=200)
-    return abs(total - 1.0)
+    """|int_0^1 gT(s) ds - 1|, i.e. |phased_integral(profile, 0) - 1|.
+
+    Exact up to rounding: the built-in kinds give their closed form at zero
+    frequency, which is 1 exactly, and tabulated profiles give the exact
+    integral of their linear interpolant (the trapezoid sum over the knots).
+    """
+    return abs(phased_integral(profile, 0.0) - 1.0)
+
+
+def _one_minus_ratio_squared(x: float, period: float, period_lo: float) -> float:
+    # 1 - (x/p)^2 = (p - x)(p + x)/p^2 for p = period + period_lo, the exact
+    # multiple of pi.  period - x is exact near x = period, so adding
+    # period_lo leaves no cancellation at the pole of the spectral factor.
+    return ((period - x) + period_lo) * (period + x) / (period * period)
 
 
 def _spectral_raised_cosine(x: float) -> float:
-    # sinc(x) / (1 - (x/pi)^2) has a removable singularity at x = pi; the
-    # three-term sinc sum is the same function written without the pole.
-    denom = 1.0 - (x / math.pi) ** 2
-    if abs(denom) < 1e-6:
-        return sinc(x) + 0.5 * (sinc(x + math.pi) + sinc(x - math.pi))
-    return sinc(x) / denom
+    # sinc(x) / (1 - (x/pi)^2); the zeros of sin(x) and of the denominator
+    # at x = pi cancel to rounding, so the removable singularity needs no branch.
+    return sinc(x) / _one_minus_ratio_squared(x, math.pi, _PI_LO)
 
 
 def _spectral_optimized(x: float) -> float:
-    d1 = 1.0 - (x / math.pi) ** 2
-    d2 = 1.0 - (x / TWO_PI) ** 2
-    if min(abs(d1), abs(d2)) < 1e-6:
-        return (
-            sinc(x)
-            + (2.0 / 3.0) * (sinc(x + math.pi) + sinc(x - math.pi))
-            + (1.0 / 6.0) * (sinc(x + TWO_PI) + sinc(x - TWO_PI))
-        )
-    return sinc(x) / (d1 * d2)
+    return sinc(x) / (
+        _one_minus_ratio_squared(x, math.pi, _PI_LO)
+        * _one_minus_ratio_squared(x, TWO_PI, 2.0 * _PI_LO)
+    )
 
 
-def _tabulated_phased_integral(profile: CouplingProfile, omega: float) -> complex:
-    knots_s, knots_v = _knot_arrays(profile)
-    h_max = _MAX_PANEL_FRACTION
-    if omega > 0.0:
-        h_max = min(h_max, math.pi / (4.0 * omega))
-    centers = []
-    half_widths = []
-    for s0, s1 in zip(knots_s, knots_s[1:]):
-        width = s1 - s0
-        n_panels = max(1, math.ceil(width / h_max))
-        edges = np.linspace(s0, s1, n_panels + 1)
-        centers.append(0.5 * (edges[:-1] + edges[1:]))
-        half_widths.append(np.full(n_panels, 0.5 * width / n_panels))
-    c = np.concatenate(centers)
-    h = np.concatenate(half_widths)
-    nodes = c[:, None] + h[:, None] * _GL_NODES[None, :]
-    values = np.interp(nodes, knots_s, knots_v)
-    phases = np.exp(1j * omega * nodes)
-    return complex(np.sum(h[:, None] * _GL_WEIGHTS[None, :] * values * phases))
+# Below x = _SERIES_SWITCH the closed form of (sin x - x cos x)/x^2 loses
+# about eps/x to cancellation; there both factors of _sinc_j1 come from their
+# Taylor series in x^2, which ten terms make exact to rounding on [0, 1).
+_SERIES_SWITCH = 1.0
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
+_J1_SERIES = tuple((-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3) for k in range(10))
+
+
+def _sinc_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(x)/x and (sin(x) - x cos(x))/x^2, elementwise for x >= 0."""
+    large = x >= _SERIES_SWITCH
+    xl = np.where(large, x, 1.0)
+    sinc_l = np.sin(xl) / xl
+    j1_l = (sinc_l - np.cos(xl)) / xl
+    x2 = np.where(large, 0.0, x * x)
+    sinc_s = np.zeros_like(x)
+    j1_s = np.zeros_like(x)
+    for c_sinc, c_j1 in zip(reversed(_SINC_SERIES), reversed(_J1_SERIES)):
+        sinc_s = sinc_s * x2 + c_sinc
+        j1_s = j1_s * x2 + c_j1
+    return np.where(large, sinc_l, sinc_s), np.where(large, j1_l, x * j1_s)
+
+
+def _knot_integral(s: np.ndarray, v: np.ndarray, omega: float) -> complex:
+    """Exact int_0^1 e^{i omega u} L(u) du for the linear interpolant L of (s, v).
+
+    On the knot interval [s_j, s_j + h] with x = omega h / 2 this is the
+    Filon-type closed form h e^{i omega s_j} (v_j (E0 - E1) + v_{j+1} E1),
+    E0 = int_0^1 e^{2ixt} dt = e^{ix} sinc(x) and
+    E1 = int_0^1 t e^{2ixt} dt = e^{ix} (sinc(x) + i j1(x))/2 with
+    j1(x) = (sin x - x cos x)/x^2.  About the interval midpoint m_j it reads
+
+        h e^{i omega m_j} [(v_j + v_{j+1})/2 sinc(x) + i (v_{j+1} - v_j)/2 j1(x)].
+
+    At omega = 0 each term is the
+    trapezoid h (v_j + v_{j+1})/2.  The terms are summed with math.fsum, so
+    the cost is O(knots) at any omega.
+    """
+    h = np.diff(s)
+    sinc_x, j1_x = _sinc_j1(0.5 * omega * h)
+    even = 0.5 * h * (v[:-1] + v[1:]) * sinc_x
+    odd = 0.5 * h * (v[1:] - v[:-1]) * j1_x
+    phase = omega * (0.5 * (s[:-1] + s[1:]))
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    return complex(
+        math.fsum(even * cos_p - odd * sin_p),
+        math.fsum(even * sin_p + odd * cos_p),
+    )
 
 
 def phased_integral(profile: CouplingProfile, omega0T: float) -> complex:
     """int_0^1 exp(i*omega0T*s) * gT(s) ds.
 
-    The built-in kinds use closed forms; near their removable singularities
-    the raised-cosine and optimized spectral factors switch to an equivalent
-    sinc-sum representation.  Tabulated profiles use panel-limited
-    Gauss-Legendre quadrature with panel width <= min(1/64, pi/(4*omega0T)).
+    The built-in kinds use closed forms, written so that the removable
+    singularities of the raised-cosine and optimized spectral factors (at
+    omega0T = 2 pi and 4 pi) cancel without a branch.  Tabulated profiles
+    are piecewise linear, and their integral is the exact per-interval
+    closed form: exact up to rounding at any omega0T, at O(knots) cost.
     """
     if not (math.isfinite(omega0T) and omega0T >= 0.0):
         raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
     if profile.kind is ProfileKind.TABULATED:
-        return _tabulated_phased_integral(profile, float(omega0T))
+        return _knot_integral(*_knot_arrays(profile), float(omega0T))
     x = 0.5 * float(omega0T)
     if profile.kind is ProfileKind.CONSTANT:
         spectral = sinc(x)

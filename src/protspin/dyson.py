@@ -28,6 +28,12 @@ from .core import (
 # Below this the smooth-profile envelopes are not meaningful approximations.
 MIN_SMOOTH_OMEGA0T = 2.0 * TWO_PI
 
+# Absolute rounding allowance of the envelope: where the amplitude is
+# subnormal (sin(gamma) or xi near 5e-324), each of the few products forming
+# it may round by half a subnormal step, far beyond any relative error.
+# Added to a normal envelope it is absorbed without changing it.
+_SUBNORMAL_ALLOWANCE = 8.0 * math.ulp(0.0)
+
 
 @dataclass(frozen=True)
 class FirstOrderResult:
@@ -83,7 +89,7 @@ def first_order_amplitude(profile: CouplingProfile, geom: MeasurementGeometry) -
     amp = prefactor * phased_integral(profile, geom.omega0T)
     return FirstOrderResult(
         amplitude=complex(amp),
-        envelope_magnitude=_envelope_bound(profile, geom),
+        envelope_magnitude=_envelope_bound(profile, geom) + _SUBNORMAL_ALLOWANCE,
         profile_kind=profile.kind,
     )
 

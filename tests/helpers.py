@@ -17,8 +17,8 @@ from protspin import (
 def simpson_phased_integral(profile, omega0T, n=2**16):
     """Composite-Simpson reference for the phased coupling integral.
 
-    Deliberately a different algorithm from the library quadrature so the
-    two can cross-check each other.
+    Deliberately a different algorithm from the library's closed forms so
+    the two can cross-check each other.
     """
     s = np.linspace(0.0, 1.0, n + 1)
     f = coupling_eval(profile, s) * np.exp(1j * omega0T * s)

@@ -1,12 +1,20 @@
 """Geometry, coupling profiles, and the phased coupling integral."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import protspin
+from protspin import core
 from protspin import (
     CouplingProfile,
     MeasurementGeometry,
@@ -127,6 +135,12 @@ class TestNormalizationResidual:
         prof = CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
         assert normalization_residual(prof) < 1e-12
 
+    def test_reports_known_area_error(self):
+        # area 1 + 5e-7, inside the construction tolerance
+        peak = 2.0 * (1.0 + 5e-7)
+        prof = CouplingProfile.tabulated([(0.0, 0.0), (0.25, 0.5 * peak), (0.5, peak), (1.0, 0.0)])
+        assert abs(normalization_residual(prof) - 5e-7) < 1e-15
+
 
 class TestTabulatedProfiles:
     def test_requires_unit_area(self):
@@ -152,6 +166,16 @@ class TestTabulatedProfiles:
         prof = CouplingProfile.from_file(path)
         assert prof.kind is ProfileKind.TABULATED
         assert abs(coupling_eval(prof, 0.5) - 2.0) < 1e-15
+
+
+def test_import_does_not_load_scipy():
+    src = Path(protspin.__file__).resolve().parents[1]
+    code = "import sys; import protspin; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.stdout.strip() == "False"
 
 
 GRID = [0.1, 1.0, 2.0 * math.pi - 1e-6, 2.0 * math.pi + 1e-6, 10.0, 100.0]
@@ -199,3 +223,130 @@ class TestPhasedIntegral:
         }
         for profile in BUILTINS:
             assert abs(phased_integral(profile, 10.0) - cases[profile.kind]) < 1e-12
+
+
+# 50 digits of pi for the decimal references below.
+PI_DEC = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _decimal_sinc(x):
+    """sin(x)/x from its Taylor series, in the current decimal context."""
+    term = total = Decimal(1)
+    x2 = x * x
+    k = 1
+    while abs(term) > Decimal("1e-45"):
+        term *= -x2 / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def _sinc_sum(x, weights):
+    """sum_k w_k (sinc(x + k pi) + sinc(x - k pi)) / (1 if k else 2) at 60 digits.
+
+    The cancellation-free form of the spectral factors: its terms have no
+    pole, so evaluated in high precision it is a reference to rounding.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd = Decimal(x)
+        total = weights[0] * _decimal_sinc(xd)
+        for k, w in enumerate(weights[1:], start=1):
+            total += w * (_decimal_sinc(xd + k * PI_DEC) + _decimal_sinc(xd - k * PI_DEC))
+        return float(total)
+
+
+def _near(center):
+    """center, its float neighbours, and offsets from 1e-15 to 1e-5 on both sides.
+
+    The ladder passes the edge |x - center| ~ 1.6e-6 where a switch between
+    the two forms used to sit.
+    """
+    points = [center]
+    for direction in (0.0, 10.0):
+        x = center
+        for _ in range(8):
+            x = math.nextafter(x, direction)
+            points.append(x)
+    for d in np.logspace(-15, -5, 61):
+        points += [center - d, center + d]
+    return points
+
+
+class TestSpectralFactors:
+    # A few ulps: the factors take about a dozen rounded operations.  The
+    # worst case over these points is 6.7e-16 (optimized, near 2 pi); the
+    # same sum evaluated in double precision is off by up to 7.7e-16 itself.
+    RTOL = 8e-16
+
+    @pytest.mark.parametrize("center", [math.pi, 2.0 * math.pi], ids=["pi", "2pi"])
+    def test_raised_cosine_near_removable_singularity(self, center):
+        for x in _near(center):
+            ref = _sinc_sum(x, (Decimal(1), Decimal("0.5")))
+            assert abs(core._spectral_raised_cosine(x) - ref) <= self.RTOL * abs(ref), x
+
+    @pytest.mark.parametrize("center", [math.pi, 2.0 * math.pi], ids=["pi", "2pi"])
+    def test_optimized_near_removable_singularities(self, center):
+        weights = (Decimal(1), Decimal(2) / 3, Decimal(1) / 6)
+        for x in _near(center):
+            ref = _sinc_sum(x, weights)
+            assert abs(core._spectral_optimized(x) - ref) <= self.RTOL * abs(ref), x
+
+    def test_zero_frequency_is_exactly_one(self):
+        assert core._spectral_raised_cosine(0.0) == 1.0
+        assert core._spectral_optimized(0.0) == 1.0
+
+
+def _triangle_closed_form(omega):
+    # e^{i omega/2} sinc^2(omega/4) for the triangle of height 2 on [0, 1]
+    q = 0.25 * omega
+    sinc_q = math.sin(q) / q if q else 1.0
+    return complex(math.cos(0.5 * omega), math.sin(0.5 * omega)) * sinc_q * sinc_q
+
+
+def _jittered_profile(n, seed):
+    # A smooth shape sampled at jittered knots: small slope jumps, so the
+    # kinks cost Simpson (n = 2^16) only about 1e-11.
+    rng = np.random.default_rng(seed)
+    s = np.concatenate(([0.0], (np.arange(1, n - 1) + rng.uniform(-0.4, 0.4, n - 2)) / (n - 1), [1.0]))
+    v = 1.0 + 0.5 * np.sin(2.0 * math.pi * s + rng.uniform(0.0, 2.0 * math.pi))
+    area = float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(s)))
+    return CouplingProfile.tabulated(zip(s.tolist(), (v / area).tolist()))
+
+
+class TestTabulatedIntegral:
+    TRIANGLE = CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
+    # the triangle's knot spacing is 1/2, so the series hands over at omega = 4 x_switch
+    SWITCH = 4.0 * core._SERIES_SWITCH
+
+    @pytest.mark.parametrize(
+        "omega",
+        [0.0, 1e-8, 1e-3, 1.0, SWITCH * (1.0 - 1e-12), SWITCH, SWITCH * (1.0 + 1e-12), 1e3, 1e6, 1e7],
+    )
+    def test_triangle_matches_closed_form(self, omega):
+        assert abs(phased_integral(self.TRIANGLE, omega) - _triangle_closed_form(omega)) < 1e-14
+
+    @pytest.mark.parametrize("omega", [0.5, 7.0, 60.0, 300.0])
+    def test_jittered_knots_match_brute_force(self, omega):
+        prof = _jittered_profile(513, seed=5)
+        assert abs(phased_integral(prof, omega) - simpson_phased_integral(prof, omega)) < 1e-9
+
+    def test_memory_does_not_grow_with_frequency(self):
+        prof = _jittered_profile(513, seed=6)
+        tracemalloc.start()
+        try:
+            phased_integral(prof, 1e7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("omega", [10.0, 1e3, 1e6])
+    def test_sampled_raised_cosine_converges_to_builtin(self, omega):
+        # |int e^{i w s} (g - L) ds| <= max|g - L| <= h^2 max|g''| / 8, with
+        # max|g''| = (2 pi)^2 for the raised cosine, at every omega
+        n = 4096
+        s = np.linspace(0.0, 1.0, n + 1)
+        prof = CouplingProfile.tabulated(zip(s.tolist(), coupling_eval(CouplingProfile.raised_cosine(), s).tolist()))
+        bound = (2.0 * math.pi) ** 2 / (8.0 * n * n)
+        assert abs(phased_integral(prof, omega) - phased_integral(CouplingProfile.raised_cosine(), omega)) <= bound
