@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,6 +25,7 @@ import numpy as np
 
 from .core import (
     CouplingProfile,
+    FieldSpec,
     MeasurementGeometry,
     ProfileKind,
     coupling_eval,
@@ -110,14 +112,14 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _emit_table(args, header, rows, gnuplot_columns=None):
+def _emit_table(args, header, rows):
     if args.format == "json":
         text = _json_table(header, rows)
     else:
         text = _csv_text(header, rows)
     _emit(text, args.output)
-    if getattr(args, "gnuplot", False) and args.output and args.format == "csv":
-        _emit(_gnuplot_stub(args.output, header, gnuplot_columns), args.output + ".gp")
+    if args.gnuplot and args.output and args.format == "csv":
+        _emit(_gnuplot_stub(args.output, header), args.output + ".gp")
 
 
 def _emit_record(args, record):
@@ -128,10 +130,10 @@ def _emit_record(args, record):
     _emit(text, args.output)
 
 
-def _gnuplot_stub(data_path: str, header: list[str], columns=None) -> str:
-    cols = columns or list(range(2, len(header) + 1))
+def _gnuplot_stub(data_path: str, header: list[str]) -> str:
     plots = ", ".join(
-        f"'{data_path}' using 1:{c} with lines title '{header[c - 1]}'" for c in cols
+        f"'{data_path}' using 1:{c} with lines title '{header[c - 1]}'"
+        for c in range(2, len(header) + 1)
     )
     return (
         "set datafile separator ','\n"
@@ -233,14 +235,10 @@ def cmd_sweep(args) -> int:
 def cmd_coupling(args) -> int:
     if args.what == "shape":
         grid = np.linspace(0.0, 1.0, args.count)
-        profiles = [
-            ("constant", CouplingProfile.constant()),
-            ("raised_cosine", CouplingProfile.raised_cosine()),
-            ("optimized", CouplingProfile.optimized()),
-        ]
-        header = ["t_over_T"] + [name for name, _ in profiles]
+        profiles = [make() for make in _PROFILE_NAMES.values()]
+        header = ["t_over_T"] + [name.replace("-", "_") for name in _PROFILE_NAMES]
         rows = [
-            [float(s)] + [float(coupling_eval(p, float(s))) for _, p in profiles]
+            [float(s)] + [float(coupling_eval(p, float(s))) for p in profiles]
             for s in grid
         ]
         _emit_table(args, header, rows)
@@ -267,23 +265,16 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_multi(args) -> int:
-    if args.gamma is not None or args.eta is not None:
-        gammas = args.gamma if args.gamma is not None else [90.0, 90.0, 0.0]
-        etas = args.eta if args.eta is not None else [0.0, 90.0, 0.0]
-        from .core import FieldSpec
-
-        fields = tuple(
-            FieldSpec(
-                xi=args.xi[k],
-                gamma=math.radians(gammas[k]),
-                eta=math.radians(etas[k]),
-                direction_index=k + 1,
-            )
-            for k in range(3)
+    fields = tuple(
+        FieldSpec(
+            xi=args.xi[k],
+            gamma=math.radians(args.gamma[k]),
+            eta=math.radians(args.eta[k]),
+            direction_index=k + 1,
         )
-        config = MultiFieldConfig(fields=fields, omega0T=args.omega0T, relaxed=args.relaxed)
-    else:
-        config = MultiFieldConfig.axes(*args.xi, omega0T=args.omega0T)
+        for k in range(3)
+    )
+    config = MultiFieldConfig(fields=fields, omega0T=args.omega0T, relaxed=args.relaxed)
 
     sim = simultaneous_amplitude(config)
     succ = successive_amplitude(config)
@@ -371,30 +362,14 @@ def cmd_design(args) -> int:
         lab = LabParameters.from_json(args.config)
     else:
         lab = LabParameters.potassium()
-    overrides = {}
-    for attr, cli_name in (
-        ("mu", "mu"),
-        ("mass", "mass"),
-        ("b0", "b0"),
-        ("grad_b1", "grad_b1"),
-        ("d", "d"),
-        ("t_oven", "t_oven"),
-    ):
-        value = getattr(args, cli_name)
-        if value is not None:
-            overrides[attr] = value
+    overrides = {
+        name: getattr(args, name)
+        for name in ("mu", "mass", "b0", "grad_b1", "d", "t_oven")
+        if getattr(args, name) is not None
+    }
     if args.gamma is not None:
         overrides["gamma"] = math.radians(args.gamma)
-    if overrides:
-        lab = LabParameters(
-            mu=overrides.get("mu", lab.mu),
-            mass=overrides.get("mass", lab.mass),
-            b0=overrides.get("b0", lab.b0),
-            grad_b1=overrides.get("grad_b1", lab.grad_b1),
-            d=overrides.get("d", lab.d),
-            t_oven=overrides.get("t_oven", lab.t_oven),
-            gamma=overrides.get("gamma", lab.gamma),
-        )
+    lab = dataclasses.replace(lab, **overrides)
     report = derive_report(lab)
     record = {
         "inputs": {
@@ -493,6 +468,8 @@ def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_to
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"cases must be >= 1, got {args.cases}")
     rng = np.random.default_rng(args.seed)
     checks = _verify_checks(rng, args.cases, args.exact_tol, args.first_order_tol)
     all_passed = all(c["passed"] for c in checks)
@@ -510,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for tables, json for records)")
-    common.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
     parser = argparse.ArgumentParser(
         prog="protspin",
@@ -549,10 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multi", parents=[common], help="three orthogonal measurement fields")
     p.add_argument("--omega0T", type=float, required=True)
     p.add_argument("--xi", type=float, nargs=3, required=True, metavar=("XI1", "XI2", "XI3"))
-    p.add_argument("--gamma", type=float, nargs=3, metavar=("G1", "G2", "G3"),
+    p.add_argument("--gamma", type=float, nargs=3, default=[90.0, 90.0, 0.0],
+                   metavar=("G1", "G2", "G3"),
                    help="polar angles in degrees (default: x, y, z axes)")
-    p.add_argument("--eta", type=float, nargs=3, metavar=("E1", "E2", "E3"),
-                   help="azimuths in degrees")
+    p.add_argument("--eta", type=float, nargs=3, default=[0.0, 90.0, 0.0],
+                   metavar=("E1", "E2", "E3"), help="azimuths in degrees")
     p.add_argument("--relaxed", action="store_true",
                    help="allow non-orthogonal directions (flagged in output)")
     p.add_argument("--oracle", action="store_true", help="include oracle propagation")
@@ -575,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct, table=False)
 
     p = sub.add_parser("design", parents=[common], help="lab-parameter bridge")
-    p.add_argument("--config", help="JSON file with unit-bearing field names")
-    p.add_argument("--preset", choices=("potassium",), default="potassium")
+    p.add_argument("--config",
+                   help="JSON file with unit-bearing field names (default: potassium)")
     p.add_argument("--mu", type=float, help="magnetic moment, J/T")
     p.add_argument("--mass", type=float, help="atomic mass, kg")
     p.add_argument("--b0", type=float, help="protection field, T")
@@ -592,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="oracle crosscheck matrix")
     p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
     p.add_argument("--exact-tol", dest="exact_tol", type=float, default=1e-10)
     p.add_argument("--first-order-tol", dest="first_order_tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_verify, table=False)

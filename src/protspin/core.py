@@ -126,15 +126,10 @@ class FieldSpec:
     direction_index: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.xi) and self.xi >= 0.0):
-            raise ValueError(f"xi must be finite and >= 0, got {self.xi!r}")
-        if not (math.isfinite(self.gamma) and 0.0 <= self.gamma <= math.pi):
-            raise ValueError(f"gamma must lie in [0, pi], got {self.gamma!r}")
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta!r}")
+        geom = MeasurementGeometry(self.xi, self.gamma, self.eta)
         if self.direction_index not in (1, 2, 3):
             raise ValueError(f"direction_index must be 1, 2 or 3, got {self.direction_index!r}")
-        object.__setattr__(self, "eta", self.eta % TWO_PI)
+        object.__setattr__(self, "eta", geom.eta)
 
     def direction(self) -> np.ndarray:
         return direction_vector(self.gamma, self.eta)
@@ -214,27 +209,22 @@ def _knot_arrays(profile: CouplingProfile) -> tuple[np.ndarray, np.ndarray]:
 def coupling_eval(profile: CouplingProfile, t_over_T):
     """Dimensionless coupling value gT at s = t/T; zero outside [0, 1].
 
-    Accepts a scalar or an ndarray and matches the input shape.
+    Accepts a scalar or an ndarray and matches the input shape.  The cosine
+    shapes are evaluated on the input clipped to [0, 1], so that infinities
+    reach no cosine.
     """
     s = np.asarray(t_over_T, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    inside = (s >= 0.0) & (s <= 1.0)
-    si = s[inside]
     if profile.kind is ProfileKind.CONSTANT:
-        out[inside] = 1.0
+        g = 1.0
     elif profile.kind is ProfileKind.RAISED_COSINE:
-        out[inside] = 1.0 + np.cos(TWO_PI * (si - 0.5))
+        g = 1.0 + np.cos(TWO_PI * (np.clip(s, 0.0, 1.0) - 0.5))
     elif profile.kind is ProfileKind.OPTIMIZED:
-        u = TWO_PI * (si - 0.5)
-        out[inside] = 1.0 + (4.0 / 3.0) * np.cos(u) + (1.0 / 3.0) * np.cos(2.0 * u)
+        u = TWO_PI * (np.clip(s, 0.0, 1.0) - 0.5)
+        g = 1.0 + (4.0 / 3.0) * np.cos(u) + (1.0 / 3.0) * np.cos(2.0 * u)
     else:
-        knots_s, knots_v = _knot_arrays(profile)
-        out[inside] = np.interp(si, knots_s, knots_v)
-    if scalar:
-        return float(out[0])
-    return out
+        g = np.interp(s, *_knot_arrays(profile))
+    out = np.where((s >= 0.0) & (s <= 1.0), g, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def normalization_residual(profile: CouplingProfile) -> float:

@@ -28,8 +28,6 @@ class DegenerateFieldError(ValueError):
 class Method(enum.Enum):
     EXACT_SINC = "exact-sinc"
     ENVELOPE = "envelope"
-    FIRST_ORDER = "first-order"
-    ORACLE = "oracle"
 
 
 @dataclass(frozen=True)

@@ -114,19 +114,14 @@ class HamiltonianSchedule:
         return cls((Segment(1.0, geom, profile),))
 
     @classmethod
-    def successive(cls, geoms, profiles=None) -> "HamiltonianSchedule":
-        """Equal-duration segments, one per geometry, in the given order."""
+    def successive(cls, geoms) -> "HamiltonianSchedule":
+        """Equal-duration constant-coupling segments, one per geometry, in order."""
         geoms = tuple(geoms)
         if not geoms:
             raise ValueError("need at least one geometry")
-        if profiles is None:
-            profiles = tuple(CouplingProfile.constant() for _ in geoms)
-        else:
-            profiles = tuple(profiles)
-            if len(profiles) != len(geoms):
-                raise ValueError("profiles and geometries must pair up")
         frac = 1.0 / len(geoms)
-        return cls(tuple(Segment(frac, g, p) for g, p in zip(geoms, profiles)))
+        constant = CouplingProfile.constant()
+        return cls(tuple(Segment(frac, g, constant) for g in geoms))
 
 
 def _compose(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:

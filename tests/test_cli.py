@@ -1,6 +1,8 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import protspin.cli
-from protspin import ConvergenceError
-from protspin.cli import main
+from protspin import ConvergenceError, LabParameters, derive_report
+from protspin.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -193,6 +195,14 @@ class TestMulti:
         assert code == 0
         assert json.loads(out)["orthogonal"] is False
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["closed-form", "oracle"])
+    def test_default_directions_are_the_axes(self, capsys, oracle):
+        argv = ("multi", "--omega0T", "21", "--xi", "0.002", "0.0016", "0.0012", *oracle)
+        code, implicit, _ = run(capsys, *argv)
+        assert code == 0
+        _, explicit, _ = run(capsys, *argv, "--gamma", "90", "90", "0", "--eta", "0", "90", "0")
+        assert implicit == explicit
+
     def test_oracle_flag_adds_propagation(self, capsys):
         code, out, _ = run(
             capsys, "multi", "--omega0T", "21", "--xi", "0.002", "0.0016", "0.0012", "--oracle",
@@ -246,21 +256,46 @@ class TestReconstruct:
 
 class TestDesign:
     def test_potassium_preset_report(self, capsys):
-        code, out, _ = run(capsys, "design", "--preset", "potassium")
+        code, out, _ = run(capsys, "design")
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["xi"] == pytest.approx(0.2, abs=1e-15)
         assert payload["report"]["p_minus_taylor"] == pytest.approx(0.02, abs=1e-15)
 
     def test_aligned_gradient_never_disturbs(self, capsys):
-        _, out, _ = run(capsys, "design", "--preset", "potassium", "--gamma", "0")
+        _, out, _ = run(capsys, "design", "--gamma", "0")
         payload = json.loads(out)
         assert payload["report"]["p_minus_envelope"] == 0.0
 
     def test_budget_scale_at_unit_field(self, capsys):
-        _, out, _ = run(capsys, "design", "--preset", "potassium", "--b0", "1")
+        _, out, _ = run(capsys, "design", "--b0", "1")
         payload = json.loads(out)
         assert 3.7e7 < payload["report"]["omega0T"] < 4.0e7
+
+    def test_preset_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "design", "--preset", "potassium")
+        assert code == 2
+        assert out == ""
+        assert "--preset" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, field, converted",
+        [
+            ("--mu", "1.5e-23", "mu", 1.5e-23),
+            ("--mass", "1e-25", "mass", 1e-25),
+            ("--b0", "2", "b0", 2.0),
+            ("--grad-b1", "3", "grad_b1", 3.0),
+            ("--d", "0.2", "d", 0.2),
+            ("--t-oven", "400", "t_oven", 400.0),
+            ("--gamma", "30", "gamma", math.radians(30.0)),
+        ],
+    )
+    def test_override_matches_direct_parameters(self, capsys, flag, value, field, converted):
+        code, out, _ = run(capsys, "design", flag, value)
+        assert code == 0
+        lab = LabParameters(**{**dataclasses.asdict(LabParameters.potassium()), field: converted})
+        expected = json.loads(json.dumps(derive_report(lab).as_dict()))
+        assert json.loads(out)["report"] == expected
 
     def test_config_file(self, capsys, tmp_path):
         path = tmp_path / "lab.json"
@@ -305,6 +340,13 @@ class TestVerify:
         _, second, _ = run(capsys, "verify", "--cases", "10", "--seed", "7")
         assert first == second
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_is_usage_error(self, capsys, cases):
+        code, out, err = run(capsys, "verify", "--cases", cases)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cases must be >= 1, got {cases}\n"
+
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -326,3 +368,98 @@ class TestTopLevel:
         assert code == 3
         assert out == ""
         assert err == "error: no convergence to 1e-10 within 4194304 steps\n"
+
+
+# Argument lists that together reach every branch that reads an option.
+_READER_ARGV = {
+    "sweep": [
+        ["--axis", "xi", "--min", "0", "--max", "0.5", "--count", "2", "--spacing", "linear",
+         "--gamma", "90", "--eta", "10", "--omega0T", "5", "--methods", "exact,oracle",
+         "--profile", "constant", "--steps", "8", "--gnuplot", "--format", "csv"],
+        ["--axis", "gamma", "--min", "10", "--max", "20", "--count", "2", "--xi", "0.1"],
+    ],
+    "coupling": [
+        ["shape", "--count", "3"],
+        ["ratio", "--min", "20", "--max", "40", "--count", "2", "--spacing", "linear", "--gnuplot"],
+    ],
+    "multi": [
+        ["--omega0T", "3", "--xi", "0.1", "0.1", "0.1", "--gamma", "90", "90", "0",
+         "--eta", "0", "90", "0", "--relaxed", "--oracle", "--steps", "8"],
+    ],
+    "reversal": [["--xi", "0.1", "--gamma", "90", "--eta", "10", "--omega0T", "5"]],
+    "reconstruct": [
+        ["--gamma", "45", "--eta", "10"],
+        ["--expectations", "0", "0", "1"],
+    ],
+    "design": [
+        ["--config", "{config}", "--mu", "1e-23", "--mass", "1e-25", "--b0", "2",
+         "--grad-b1", "3", "--d", "0.2", "--t-oven", "400", "--gamma", "30",
+         "--target-displacement", "5e-4", "--p-max", "0.01"],
+    ],
+    "verify": [
+        ["--cases", "1", "--seed", "7", "--exact-tol", "1e-10", "--first-order-tol", "1e-4"],
+    ],
+}
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read(tmp_path):
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(subparsers) == set(_READER_ARGV)
+    config = tmp_path / "lab.json"
+    config.write_text(json.dumps({
+        "species": "potassium", "b0_tesla": 10.0, "grad_b1_tesla_per_meter": 20.0,
+        "d_meter": 0.1, "t_oven_kelvin": 500.0, "gamma_deg": 45.0,
+    }))
+    unread = {}
+    for command, argv_list in _READER_ARGV.items():
+        reads = set()
+        for k, argv in enumerate(argv_list):
+            argv = [a.format(config=config) for a in argv]
+            output = tmp_path / f"{command}{k}.out"
+            args = _ReadRecorder()
+            parser.parse_args([command, *argv, "--output", str(output)], namespace=args)
+            if args.format is None:
+                args.format = "csv" if args.table else "json"
+            args._reads.clear()
+            assert args.func(args) == 0
+            assert output.exists()
+            reads |= args._reads
+        dests = {a.dest for a in subparsers[command]._actions if a.dest != "help"}
+        if dests - reads:
+            unread[command] = sorted(dests - reads)
+    assert unread == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--axis", "xi", "--min", "0", "--max", "1", "--gamma", "90"),
+        ("coupling", "shape"),
+        ("multi", "--omega0T", "5", "--xi", "0.1", "0.1", "0.1"),
+        ("reversal", "--xi", "0.1", "--gamma", "90"),
+        ("reconstruct", "--gamma", "45"),
+        ("design",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_rejected_where_nothing_is_random(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err

@@ -17,6 +17,7 @@ import protspin
 from protspin import core
 from protspin import (
     CouplingProfile,
+    FieldSpec,
     MeasurementGeometry,
     ProfileKind,
     coupling_eval,
@@ -32,6 +33,7 @@ BUILTINS = [
     CouplingProfile.raised_cosine(),
     CouplingProfile.optimized(),
 ]
+ALL_KINDS = BUILTINS + [CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])]
 
 
 class TestMeasurementGeometry:
@@ -59,6 +61,37 @@ class TestMeasurementGeometry:
     def test_rejects_out_of_range_parameters(self, kwargs):
         with pytest.raises(ValueError):
             MeasurementGeometry(**kwargs)
+
+
+class TestFieldSpec:
+    @pytest.mark.parametrize(
+        "xi, gamma, eta",
+        [
+            (-0.1, 0.5, 0.0),
+            (math.nan, 0.5, 0.0),
+            (math.inf, 0.5, 0.0),
+            (0.1, -0.01, 0.0),
+            (0.1, math.pi + 0.01, 0.0),
+            (0.1, math.nan, 0.0),
+            (0.1, 0.5, math.inf),
+            (0.1, 0.5, math.nan),
+        ],
+    )
+    def test_rejects_what_geometry_rejects_with_same_message(self, xi, gamma, eta):
+        with pytest.raises(ValueError) as geom_error:
+            MeasurementGeometry(xi, gamma, eta)
+        with pytest.raises(ValueError) as field_error:
+            FieldSpec(xi, gamma, eta, direction_index=1)
+        assert str(field_error.value) == str(geom_error.value)
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_rejects_direction_index_outside_one_to_three(self, index):
+        with pytest.raises(ValueError, match="direction_index must be 1, 2 or 3"):
+            FieldSpec(0.1, 0.5, 0.0, direction_index=index)
+
+    def test_eta_normalized_like_geometry(self):
+        for eta in (-0.25, 2.0 * math.pi + 0.25):
+            assert FieldSpec(0.1, 0.5, eta).eta == MeasurementGeometry(0.1, 0.5, eta).eta
 
 
 class TestDirectionAngles:
@@ -105,22 +138,28 @@ class TestCouplingEval:
         assert abs(coupling_eval(prof, 0.0)) < 1e-15
         assert abs(coupling_eval(prof, 0.5) - 8.0 / 3.0) < 1e-15
 
-    @pytest.mark.parametrize("profile", BUILTINS, ids=lambda p: p.kind.value)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("profile", ALL_KINDS, ids=lambda p: p.kind.value)
     def test_zero_outside_window(self, profile):
-        assert coupling_eval(profile, -0.25) == 0.0
-        assert coupling_eval(profile, 1.25) == 0.0
+        for s in (-0.25, 1.25, -math.inf, math.inf, math.nan):
+            value = coupling_eval(profile, s)
+            assert type(value) is float
+            assert value == 0.0
 
     @pytest.mark.parametrize("profile", BUILTINS, ids=lambda p: p.kind.value)
     def test_builtin_nonnegative(self, profile):
         s = np.linspace(0.0, 1.0, 4001)
         assert np.all(coupling_eval(profile, s) >= -1e-15)
 
-    def test_array_evaluation_matches_scalar(self):
-        prof = CouplingProfile.raised_cosine()
-        s = np.array([-0.5, 0.0, 0.3, 1.0, 1.5])
-        vec = coupling_eval(prof, s)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("profile", ALL_KINDS, ids=lambda p: p.kind.value)
+    def test_array_evaluation_matches_scalar(self, profile):
+        s = np.array([-0.5, 0.0, 0.3, 1.0, 1.5, -np.inf, np.inf, np.nan])
+        vec = coupling_eval(profile, s)
+        assert vec.shape == s.shape
         for si, vi in zip(s, vec):
-            assert vi == coupling_eval(prof, float(si))
+            assert vi == coupling_eval(profile, float(si))
+        assert np.array_equal(coupling_eval(profile, s.reshape(2, 4)), vec.reshape(2, 4))
 
 
 class TestNormalizationResidual:
