@@ -141,7 +141,10 @@ class CouplingProfile:
 
     Built-in kinds evaluate analytically; TABULATED interpolates linearly
     between (s, gT) knots that must start at s = 0, end at s = 1, and
-    integrate to 1 within TABULATED_NORMALIZATION_TOLERANCE.
+    integrate to 1 within TABULATED_NORMALIZATION_TOLERANCE.  Tabulated
+    samples may be any iterable of pairs; they are stored as a tuple of
+    float pairs, and their knot arrays are built once, read-only, outside
+    the dataclass fields.
     """
 
     kind: ProfileKind
@@ -149,18 +152,22 @@ class CouplingProfile:
 
     def __post_init__(self):
         if self.kind is ProfileKind.TABULATED:
-            if self.samples is None or len(self.samples) < 2:
+            pairs = () if self.samples is None else self.samples
+            samples = tuple((float(s), float(v)) for s, v in pairs)
+            if len(samples) < 2:
                 raise ValueError("tabulated profile needs at least two (s, gT) samples")
-            samples = tuple((float(s), float(v)) for s, v in self.samples)
             object.__setattr__(self, "samples", samples)
-            s_vals = [s for s, _ in samples]
-            if any(b <= a for a, b in zip(s_vals, s_vals[1:])):
+            s_vals, v_vals = np.array(samples).T.copy()
+            s_vals.flags.writeable = False
+            v_vals.flags.writeable = False
+            object.__setattr__(self, "_knots", (s_vals, v_vals))
+            if np.any(s_vals[1:] <= s_vals[:-1]):
                 raise ValueError("tabulated sample positions must be strictly ascending")
             if abs(s_vals[0]) > 1e-12 or abs(s_vals[-1] - 1.0) > 1e-12:
                 raise ValueError("tabulated samples must span s = 0 to s = 1")
-            if not all(math.isfinite(s) and math.isfinite(v) for s, v in samples):
+            if not (np.all(np.isfinite(s_vals)) and np.all(np.isfinite(v_vals))):
                 raise ValueError("tabulated samples must be finite")
-            area = _knot_integral(*_knot_arrays(self), 0.0).real
+            area = _knot_integral(s_vals, v_vals, 0.0).real
             if abs(area - 1.0) > TABULATED_NORMALIZATION_TOLERANCE:
                 raise ValueError(
                     f"tabulated profile integrates to {area!r}, "
@@ -183,7 +190,7 @@ class CouplingProfile:
 
     @classmethod
     def tabulated(cls, samples) -> "CouplingProfile":
-        return cls(ProfileKind.TABULATED, tuple((float(s), float(v)) for s, v in samples))
+        return cls(ProfileKind.TABULATED, samples)
 
     @classmethod
     def from_file(cls, path) -> "CouplingProfile":
@@ -196,14 +203,8 @@ class CouplingProfile:
             parts = stripped.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            rows.append((float(parts[0]), float(parts[1])))
+            rows.append(parts)
         return cls.tabulated(rows)
-
-
-def _knot_arrays(profile: CouplingProfile) -> tuple[np.ndarray, np.ndarray]:
-    s = np.array([p[0] for p in profile.samples])
-    v = np.array([p[1] for p in profile.samples])
-    return s, v
 
 
 def coupling_eval(profile: CouplingProfile, t_over_T):
@@ -222,7 +223,7 @@ def coupling_eval(profile: CouplingProfile, t_over_T):
         u = TWO_PI * (np.clip(s, 0.0, 1.0) - 0.5)
         g = 1.0 + (4.0 / 3.0) * np.cos(u) + (1.0 / 3.0) * np.cos(2.0 * u)
     else:
-        g = np.interp(s, *_knot_arrays(profile))
+        g = np.interp(s, *profile._knots)
     out = np.where((s >= 0.0) & (s <= 1.0), g, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -319,7 +320,7 @@ def phased_integral(profile: CouplingProfile, omega0T: float) -> complex:
     if not (math.isfinite(omega0T) and omega0T >= 0.0):
         raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
     if profile.kind is ProfileKind.TABULATED:
-        return _knot_integral(*_knot_arrays(profile), float(omega0T))
+        return _knot_integral(*profile._knots, float(omega0T))
     x = 0.5 * float(omega0T)
     if profile.kind is ProfileKind.CONSTANT:
         spectral = sinc(x)

@@ -52,10 +52,9 @@ class FirstOrderResult:
 def _tabulated_l1_bound(profile: CouplingProfile) -> float:
     # Trapezoid of |gT| over the knots; >= int |gT| by convexity of |.|,
     # hence still a valid envelope factor.
-    total = 0.0
-    for (s0, v0), (s1, v1) in zip(profile.samples, profile.samples[1:]):
-        total += 0.5 * (abs(v0) + abs(v1)) * (s1 - s0)
-    return total
+    s, v = profile._knots
+    a = abs(v)
+    return 0.5 * math.fsum(((a[:-1] + a[1:]) * (s[1:] - s[:-1])).tolist())
 
 
 def _envelope_bound(profile: CouplingProfile, geom: MeasurementGeometry) -> float:

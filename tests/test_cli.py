@@ -39,6 +39,19 @@ class TestSweep:
         assert column == sorted(column)
         assert abs(column[-1] - 0.5) < 1e-12
 
+    def test_oracle_converges_at_large_budget(self, capsys):
+        # omega0T = 3e4 is past the step cap of the adaptive midpoint rule
+        code, out, _ = run(
+            capsys, "sweep", "--axis", "xi", "--min", "0.1", "--max", "0.5", "--count", "2",
+            "--gamma", "90", "--omega0T", "3e4", "--methods", "oracle,first-order",
+            "--profile", "raised-cosine",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["xi", "p_minus_first_order", "p_minus_oracle"]
+        assert len(rows) == 2
+        assert all(0.0 <= float(r[2]) < 1e-12 for r in rows)
+
     def test_aligned_field_sweep_is_all_zero(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--axis", "xi", "--min", "0", "--max", "1",

@@ -1,5 +1,6 @@
 """Geometry, coupling profiles, and the phased coupling integral."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -193,6 +194,32 @@ class TestTabulatedProfiles:
     def test_requires_full_span(self):
         with pytest.raises(ValueError):
             CouplingProfile.tabulated([(0.1, 1.0), (0.9, 1.0)])
+
+    def test_requires_finite_samples(self):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingProfile.tabulated([(0.0, 1.0), (0.5, math.nan), (1.0, 1.0)])
+
+    def test_knot_arrays_are_built_once_and_read_only(self):
+        prof = CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
+        s, v = prof._knots
+        assert prof._knots[0] is s and prof._knots[1] is v
+        assert s.tolist() == [0.0, 0.5, 1.0] and v.tolist() == [0.0, 2.0, 0.0]
+        with pytest.raises(ValueError):
+            v[1] = 3.0
+
+    def test_knot_arrays_are_not_fields(self, tmp_path):
+        path = tmp_path / "triangle.dat"
+        path.write_text("0 0\n0.5 2\n1 0\n")
+        loaded = CouplingProfile.from_file(path)
+        built = CouplingProfile.tabulated(iter([(0, 0), (0.5, 2), (1, 0)]))
+        assert [f.name for f in dataclasses.fields(CouplingProfile)] == ["kind", "samples"]
+        assert loaded.samples == built.samples == ((0.0, 0.0), (0.5, 2.0), (1.0, 0.0))
+        assert all(type(x) is float for pair in loaded.samples for x in pair)
+        assert loaded == built and hash(loaded) == hash(built)
+        assert repr(loaded) == (
+            "CouplingProfile(kind=<ProfileKind.TABULATED: 'tabulated'>, "
+            "samples=((0.0, 0.0), (0.5, 2.0), (1.0, 0.0)))"
+        )
 
     def test_linear_interpolation_between_knots(self):
         prof = CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])

@@ -19,6 +19,7 @@ from protspin import (
     propagate,
     reduction_ratio,
 )
+from protspin.dyson import _tabulated_l1_bound
 
 BUILTINS = [
     CouplingProfile.constant(),
@@ -78,6 +79,19 @@ class TestFirstOrderAmplitude:
             geom = MeasurementGeometry(xi=0.3, gamma=1.2, eta=0.4, omega0T=omega)
             res = first_order_amplitude(prof, geom)
             assert abs(res.amplitude) <= res.envelope_magnitude * (1.0 + 1e-9)
+
+    def test_tabulated_l1_bound_matches_loop_trapezoid(self):
+        rng = np.random.default_rng(5)
+        s = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 511)), [1.0]))
+        v = np.sin(9.0 * s) + 0.3
+        v /= float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(s)))
+        prof = CouplingProfile.tabulated(zip(s.tolist(), v.tolist()))
+        # the trapezoid of |gT| summed term by term over the sample tuples
+        total = 0.0
+        for (s0, v0), (s1, v1) in zip(prof.samples, prof.samples[1:]):
+            total += 0.5 * (abs(v0) + abs(v1)) * (s1 - s0)
+        assert abs(_tabulated_l1_bound(prof) - total) <= 1e-13 * total
+        assert total > 1.0  # the profile changes sign, so int |gT| > int gT = 1
 
     def test_quadratic_deviation_from_exact_under_halving(self):
         # deviation from the static-field closed form scales as xi^2

@@ -20,12 +20,13 @@ from protspin import (
     amplitude_exact,
     coupling_eval,
     crosscheck,
+    first_order_amplitude,
     propagate,
     simultaneous_schedule,
     successive_schedule,
     survival_split,
 )
-from helpers import random_geometries
+from helpers import propagate_midpoint, random_geometries, richardson_minus
 
 geometries = st.builds(
     MeasurementGeometry,
@@ -114,7 +115,7 @@ class TestPropagate:
             propagate(HamiltonianSchedule.single(geom, CouplingProfile.constant()), SpinState.plus(), steps=0)
 
     def test_raises_when_budget_needs_more_steps_than_allowed(self):
-        geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=200.0)
+        geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=1e4)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
         with pytest.raises(ConvergenceError):
             propagate(sched, SpinState.plus(), max_steps=2**15)
@@ -137,14 +138,26 @@ class TestPropagate:
     def test_second_order_convergence(self):
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=200.0)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
-        ref = propagate(sched, SpinState.plus(), steps=2**18).as_array()
+        ref = propagate_midpoint(sched, SpinState.plus(), 2**18).as_array()
         errs = [
-            float(np.max(np.abs(propagate(sched, SpinState.plus(), steps=n).as_array() - ref)))
+            float(np.max(np.abs(propagate_midpoint(sched, SpinState.plus(), n).as_array() - ref)))
             for n in (2**10, 2**11, 2**12)
         ]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert abs(order - 2.0) < 0.1
+
+    def test_fourth_order_convergence(self):
+        geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=200.0)
+        sched = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
+        ref = propagate(sched, SpinState.plus(), steps=2**14).as_array()
+        errs = [
+            float(np.max(np.abs(propagate(sched, SpinState.plus(), steps=n).as_array() - ref)))
+            for n in (2**8, 2**9, 2**10)
+        ]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        for order in orders:
+            assert abs(order - 4.0) < 0.1
 
     def test_adaptive_agrees_with_deep_fixed_grid(self):
         geom = MeasurementGeometry(xi=0.4, gamma=0.9, eta=1.1, omega0T=30.0)
@@ -161,25 +174,94 @@ class TestPropagate:
             assert abs(st_out.c_minus - amplitude_exact(geom).amplitude_minus) < 1e-10
 
 
+class TestLargeBudget:
+    """omega0T = 1e4, where the adaptive midpoint rule would exceed its step cap."""
+
+    @pytest.mark.parametrize("profile", [CouplingProfile.raised_cosine(), CouplingProfile.optimized()])
+    def test_adaptive_matches_deep_midpoint_grid(self, profile):
+        geom = MeasurementGeometry(xi=0.1, gamma=1.0, eta=0.3, omega0T=1e4)
+        sched = HamiltonianSchedule.single(geom, profile)
+        auto = propagate(sched, SpinState.plus()).as_array()
+        deep = propagate_midpoint(sched, SpinState.plus(), 2**22).as_array()
+        assert np.max(np.abs(auto - deep)) < 1e-10
+
+    @pytest.mark.parametrize("profile", [CouplingProfile.raised_cosine(), CouplingProfile.optimized()])
+    def test_adaptive_matches_first_order(self, profile):
+        # gamma = pi/2 suppresses the quadratic correction term
+        geom = MeasurementGeometry(xi=1e-3, gamma=0.5 * math.pi, eta=0.4, omega0T=1e4)
+        state = propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+        assert abs(state.c_minus - first_order_amplitude(profile, geom).amplitude) < 1e-11
+
+
+class TestTabulatedGrid:
+    """Step edges on the knots: a pulse narrower than a coarse step still counts."""
+
+    # A triangle pulse of area 1 on [0.5009, 0.5015].  It lies between the
+    # Gauss nodes 0.500825 of 2**8 uniform steps and 0.501540 of 2**9, so
+    # both coarsest uniform grids would read a zero coupling throughout.
+    NARROW = CouplingProfile.tabulated(
+        [(0.0, 0.0), (0.5009, 0.0), (0.5012, 1.0 / 0.0003), (0.5015, 0.0), (1.0, 0.0)]
+    )
+
+    def test_narrow_pulse_matches_first_order(self):
+        # gamma = pi/2 suppresses the quadratic correction term
+        geom = MeasurementGeometry(xi=1e-4, gamma=0.5 * math.pi, eta=0.3, omega0T=10.0)
+        state = propagate(HamiltonianSchedule.single(geom, self.NARROW), SpinState.plus())
+        expected = first_order_amplitude(self.NARROW, geom).amplitude
+        assert abs(expected) > 4e-4
+        assert abs(state.c_minus - expected) < 1e-10
+
+    def test_narrow_pulse_matches_deep_midpoint_grid(self):
+        geom = MeasurementGeometry(xi=0.1, gamma=1.0, eta=0.3, omega0T=10.0)
+        state = propagate(HamiltonianSchedule.single(geom, self.NARROW), SpinState.plus())
+        assert abs(state.c_minus) > 0.3
+        assert abs(state.c_minus - richardson_minus(geom, self.NARROW, 2**18)) < 1e-11
+
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def dense_midpoint_product(geom, profile, n):
-    """U[n-1] @ ... @ U[0], each step exponentiated by diagonalizing its Hamiltonian."""
+def _hamiltonian(geom, profile, s):
+    """(omega0T/2) [sigma_z + xi gT(s) n.sigma], the generator of d psi/ds = i H psi."""
     n_sigma = (
         math.sin(geom.gamma) * math.cos(geom.eta) * SIGMA_X
         + math.sin(geom.gamma) * math.sin(geom.eta) * SIGMA_Y
         + math.cos(geom.gamma) * SIGMA_Z
     )
+    return 0.5 * geom.omega0T * (SIGMA_Z + geom.xi * coupling_eval(profile, s) * n_sigma)
+
+
+def _dense_product(exponents):
+    """U[n-1] @ ... @ U[0] with U = exp(i K), each K Hermitian and diagonalized."""
     unitary = np.eye(2, dtype=complex)
-    for j in range(n):
-        g = geom.xi * coupling_eval(profile, (j + 0.5) / n)
-        energies, vectors = np.linalg.eigh(SIGMA_Z + g * n_sigma)
-        step = vectors @ np.diag(np.exp(0.5j * geom.omega0T / n * energies)) @ vectors.conj().T
-        unitary = step @ unitary
+    for k in exponents:
+        energies, vectors = np.linalg.eigh(k)
+        unitary = vectors @ np.diag(np.exp(1j * energies)) @ vectors.conj().T @ unitary
     return unitary
+
+
+def dense_midpoint_product(geom, profile, n):
+    """Product of n exponential midpoint steps as dense 2x2 matrices."""
+    return _dense_product(_hamiltonian(geom, profile, (j + 0.5) / n) / n for j in range(n))
+
+
+def dense_magnus_product(geom, profile, n):
+    """Product of n two-Gauss-point Magnus steps as dense 2x2 matrices.
+
+    With A = i H, Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] is i K
+    for the Hermitian K = h/2 (H1 + H2) + i (sqrt(3) h^2/12) [H2, H1].
+    """
+    h = 1.0 / n
+    offset = math.sqrt(3.0) / 6.0
+
+    def exponent(j):
+        h1 = _hamiltonian(geom, profile, (j + 0.5 - offset) * h)
+        h2 = _hamiltonian(geom, profile, (j + 0.5 + offset) * h)
+        return 0.5 * h * (h1 + h2) + 1j * (math.sqrt(3.0) * h * h / 12.0) * (h2 @ h1 - h1 @ h2)
+
+    return _dense_product(exponent(j) for j in range(n))
 
 
 def exact_schedule_unitary(schedule):
@@ -211,19 +293,29 @@ class TestKernel:
         dense = dense_midpoint_product(geom, profile, 2**8)
         sched = HamiltonianSchedule.single(geom, profile)
         for psi0, column in ((SpinState.plus(), 0), (SpinState.minus(), 1)):
+            out = propagate_midpoint(sched, psi0, 2**8).as_array()
+            assert np.max(np.abs(out - dense[:, column])) < 1e-13
+
+    def test_magnus_matches_dense_matrix_product(self):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=20.0)
+        profile = CouplingProfile.optimized()
+        dense = dense_magnus_product(geom, profile, 2**8)
+        sched = HamiltonianSchedule.single(geom, profile)
+        for psi0, column in ((SpinState.plus(), 0), (SpinState.minus(), 1)):
             out = propagate(sched, psi0, steps=2**8).as_array()
             assert np.max(np.abs(out - dense[:, column])) < 1e-13
 
     def test_unitarity_forward_and_reverse_across_chunks(self):
-        # 2**18 steps span two chunks of the product reduction
+        # 2**18 steps span several chunks of the product reduction
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=50.0)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.optimized())
-        fwd = propagate(sched, SpinState.plus(), steps=2**18)
-        back = propagate(sched, fwd, steps=2**18, reverse=True)
-        assert abs(fwd.norm() - 1.0) < 1e-14
-        assert abs(back.norm() - 1.0) < 1e-14
-        assert abs(back.c_plus - 1.0) < 1e-12
-        assert abs(back.c_minus) < 1e-12
+        for run in (propagate, propagate_midpoint):
+            fwd = run(sched, SpinState.plus(), steps=2**18)
+            back = run(sched, fwd, steps=2**18, reverse=True)
+            assert abs(fwd.norm() - 1.0) < 1e-14
+            assert abs(back.norm() - 1.0) < 1e-14
+            assert abs(back.c_plus - 1.0) < 1e-12
+            assert abs(back.c_minus) < 1e-12
 
 
 class TestStaticFastPath:
