@@ -165,7 +165,7 @@ def _parse_profile(spec: str) -> CouplingProfile:
     )
 
 
-def _axis_grid(args) -> np.ndarray:
+def _axis_grid(args) -> list[float]:
     if args.count < 2:
         raise ValueError(f"count must be >= 2, got {args.count}")
     if not (args.min < args.max):
@@ -173,8 +173,8 @@ def _axis_grid(args) -> np.ndarray:
     if args.spacing == "log":
         if args.min <= 0.0:
             raise ValueError("log spacing requires min > 0")
-        return np.geomspace(args.min, args.max, args.count)
-    return np.linspace(args.min, args.max, args.count)
+        return np.geomspace(args.min, args.max, args.count).tolist()
+    return np.linspace(args.min, args.max, args.count).tolist()
 
 
 def _sweep_methods(args) -> list[str]:
@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
         gamma = math.radians(value) if args.axis == "gamma" else math.radians(args.gamma)
         omega0T = value if args.axis == "omega0T" else (args.omega0T or 0.0)
         geom = MeasurementGeometry(xi=xi, gamma=gamma, eta=eta, omega0T=omega0T)
-        row = [float(value)]
+        row = [value]
         for method in methods:
             row.append(_sweep_probability(method, geom, profile, args.steps))
         rows.append(row)
@@ -253,11 +253,7 @@ def cmd_coupling(args) -> int:
     grid = _axis_grid(args)
     header = ["omega0T", "raised_cosine", "optimized"]
     rows = [
-        [
-            float(w),
-            reduction_ratio(ProfileKind.RAISED_COSINE, float(w)),
-            reduction_ratio(ProfileKind.OPTIMIZED, float(w)),
-        ]
+        [w, reduction_ratio(ProfileKind.RAISED_COSINE, w), reduction_ratio(ProfileKind.OPTIMIZED, w)]
         for w in grid
     ]
     _emit_table(args, header, rows)

@@ -203,7 +203,10 @@ class CouplingProfile:
             parts = stripped.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            rows.append(parts)
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls.tabulated(rows)
 
 

@@ -98,6 +98,8 @@ class LabParameters:
         A "species": "potassium" entry fills in mu and mass; all other fields
         are required and a missing one is reported by name.
         """
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
         data = dict(config)
         species = data.pop("species", None)
         if species is not None:

@@ -24,7 +24,10 @@ knot interval narrower than a step is still sampled.
 
 For a constant profile the Hamiltonian is static and the stepping is exact at
 any step count, so adaptive propagation of a schedule whose segments are all
-constant takes one step per segment.  Otherwise the adaptive rule doubles the
+constant takes one step per segment.  Such a schedule, and one given a fixed
+step count that comes to one step per segment, is computed in scalar
+arithmetic (math and Python complex): on so few steps numpy's fixed cost per
+call would be most of the time.  Otherwise the adaptive rule doubles the
 step count, from 2**8 Magnus steps or 2**14 midpoint steps, until successive
 refinements agree within ADAPTIVE_TOLERANCE; the error of the finer result is
 then about their difference over 15 for the fourth-order rule and over 3 for
@@ -292,6 +295,39 @@ def _run(
     return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
 
 
+def _run_static(schedule: HamiltonianSchedule, psi0: SpinState, reverse: bool) -> SpinState:
+    """One exact step per segment of an all-constant schedule, in scalar arithmetic.
+
+    The same step as _run on grids [(None, 1)] * len(segments): on a
+    constant profile _steps takes c = (omega0T/2) (e_z + xi n) over the
+    whole segment.  The pairs are multiplied in the order applied, as
+    _compose's U_2 U_1, and the product is rescaled once to SU(2).  For a
+    one-step schedule numpy's fixed cost per call is most of the work, so
+    this path builds no array.
+    """
+    a, b = 1.0 + 0.0j, 0.0j
+    segments = schedule.segments
+    for seg in reversed(segments) if reverse else segments:
+        geom = seg.geom
+        half = 0.5 * geom.omega0T
+        sin_g = math.sin(geom.gamma)
+        cx = (half * (sin_g * math.cos(geom.eta))) * geom.xi
+        cy = (half * (sin_g * math.sin(geom.eta))) * geom.xi
+        cz = half * (1.0 + geom.xi * math.cos(geom.gamma))
+        phi = math.sqrt(cx * cx + cy * cy + cz * cz)
+        t = math.sin(phi) / (phi if phi > 0.0 else 1.0)
+        if reverse:
+            t = -t
+        step_a = complex(math.cos(phi), cz * t)
+        step_b = complex(cy * t, cx * t)
+        a, b = step_a * a - step_b * b.conjugate(), step_a * b + step_b * a.conjugate()
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    a, b = a / norm, b / norm
+    return SpinState(
+        a * psi0.c_plus + b * psi0.c_minus, -b.conjugate() * psi0.c_plus + a.conjugate() * psi0.c_minus,
+    )
+
+
 def _propagate_adaptive(
     schedule: HamiltonianSchedule, psi: np.ndarray, reverse: bool,
     max_steps: int, order: int,
@@ -330,11 +366,12 @@ def propagate(
         segments by duration; on a tabulated profile each knot interval
         rounds its share up to whole steps.  None selects the adaptive
         rule.  If every segment has a constant profile the Hamiltonian is
-        piecewise static and each segment takes one exact step.  Otherwise
-        the step count doubles from 2**8, halving every step, until two
-        successive refinements agree within 1e-10, capped at max_steps.  The
-        error of the returned state is then about that last difference
-        over 15.
+        piecewise static and each segment takes one exact step, in scalar
+        arithmetic; so does a fixed count that gives each such segment one
+        step.  Otherwise the step count doubles from 2**8, halving every
+        step, until two successive refinements agree within 1e-10, capped at
+        max_steps.  The error of the returned state is then about that last
+        difference over 15.
     reverse : bool
         Apply the exact inverse evolution (negated Hamiltonian, reversed
         time order).
@@ -347,13 +384,17 @@ def propagate(
     """
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError(f"initial state must be normalized, |psi| = {psi0.norm()!r}")
-    psi = psi0.as_array()
     if steps is not None:
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
-        final = _run(schedule, psi, _grids(schedule, int(steps)), reverse, 4)
-    elif all(seg.profile.kind is ProfileKind.CONSTANT for seg in schedule.segments):
-        final = _run(schedule, psi, [(None, 1)] * len(schedule.segments), reverse, 4)
+        grids = _grids(schedule, int(steps))
+    if all(seg.profile.kind is ProfileKind.CONSTANT for seg in schedule.segments) and (
+        steps is None or all(counts == 1 for _, counts in grids)
+    ):
+        return _run_static(schedule, psi0, reverse)
+    psi = psi0.as_array()
+    if steps is not None:
+        final = _run(schedule, psi, grids, reverse, 4)
     else:
         final, _ = _propagate_adaptive(schedule, psi, reverse, max_steps, 4)
     return SpinState(complex(final[0]), complex(final[1]))

@@ -21,6 +21,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "np.float64" not in err
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -126,6 +133,25 @@ class TestSweep:
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
+
+    def test_domain_error_shows_plain_numbers(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--axis", "xi", "--min", "-1", "--max", "1", "--count", "3",
+            "--gamma", "90", "--omega0T", "10", "--methods", "exact",
+        )
+        assert_one_line_error(code, out, err)
+        assert err == "error: xi must be finite and >= 0, got -1.0\n"
+
+    def test_bad_tabulated_entry_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.0 0.0\n0.5 1.0\n0.5 abc\n1.0 0.0\n")
+        code, out, err = run(
+            capsys, "sweep", "--axis", "xi", "--min", "0", "--max", "1", "--count", "3",
+            "--gamma", "90", "--omega0T", "10", "--profile", f"tabulated:{path}", "--methods", "first-order",
+        )
+        assert_one_line_error(code, out, err)
+        assert err.startswith(f"error: {path}:3: ")
+        assert "'abc'" in err
 
     def test_oracle_method_column(self, capsys):
         code, out, _ = run(
@@ -324,6 +350,14 @@ class TestDesign:
         assert code == 0
         payload = json.loads(out)
         assert "required_gradient_tesla_per_meter" in payload
+
+    @pytest.mark.parametrize("config, kind", [("[1, 2]", "list"), ("5", "int")])
+    def test_config_must_be_an_object(self, capsys, tmp_path, config, kind):
+        path = tmp_path / "lab.json"
+        path.write_text(config)
+        code, out, err = run(capsys, "design", "--config", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == f"error: config must be a JSON object, got {kind}\n"
 
     def test_config_missing_field_is_named(self, capsys, tmp_path):
         path = tmp_path / "lab.json"

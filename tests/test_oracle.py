@@ -21,6 +21,7 @@ from protspin import (
     coupling_eval,
     crosscheck,
     first_order_amplitude,
+    oracle,
     propagate,
     simultaneous_schedule,
     successive_schedule,
@@ -332,6 +333,60 @@ class TestStaticFastPath:
     def test_takes_one_step_per_segment(self):
         sched = successive_schedule(three_field_config(21.0))
         assert propagate(sched, SpinState.plus()) == propagate(sched, SpinState.plus(), steps=3)
+
+    @staticmethod
+    def random_state(rng):
+        c = rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        return SpinState(complex(c[0], c[1]), complex(c[2], c[3]))
+
+    @staticmethod
+    def static_schedules(geoms):
+        """One field alone, then three fields in succession and superposed."""
+        config = MultiFieldConfig(
+            tuple(FieldSpec(g.xi, g.gamma, g.eta, direction_index=k + 1) for k, g in enumerate(geoms)),
+            omega0T=geoms[0].omega0T,
+            relaxed=True,
+        )
+        return (
+            HamiltonianSchedule.single(geoms[0], CouplingProfile.constant()),
+            successive_schedule(config),
+            simultaneous_schedule(config),
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_scalar_step_matches_array_kernel(self, reverse):
+        rng = np.random.default_rng(11)
+        for geoms in zip(*[iter(random_geometries(rng, 90, omega_max=1e4))] * 3):
+            psi0 = self.random_state(rng)
+            for sched in self.static_schedules(geoms):
+                grids = [(None, 1)] * len(sched.segments)
+                kernel = oracle._run(sched, psi0.as_array(), grids, reverse, 4)
+                scalar = propagate(sched, psi0, reverse=reverse).as_array()
+                assert np.max(np.abs(scalar - kernel)) < 1e-15
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_zero_budget_returns_initial_state(self, reverse):
+        rng = np.random.default_rng(12)
+        geoms = [MeasurementGeometry(g.xi, g.gamma, g.eta, 0.0) for g in random_geometries(rng, 3)]
+        psi0 = self.random_state(rng)
+        for sched in self.static_schedules(geoms):
+            assert propagate(sched, psi0, reverse=reverse) == psi0
+
+    def test_never_reaches_array_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("static schedule reached the array kernel")
+
+        monkeypatch.setattr(oracle, "_steps", refuse)
+        monkeypatch.setattr(oracle, "_compose", refuse)
+        single = HamiltonianSchedule.single(
+            MeasurementGeometry(xi=0.3, gamma=1.1, eta=0.2, omega0T=40.0), CouplingProfile.constant()
+        )
+        successive = successive_schedule(three_field_config(21.0))
+        for reverse in (False, True):
+            for sched in (single, successive):
+                assert abs(propagate(sched, SpinState.plus(), reverse=reverse).norm() - 1.0) < 1e-15
+            assert abs(propagate(successive, SpinState.plus(), steps=3, reverse=reverse).norm() - 1.0) < 1e-15
 
 
 class TestCrosscheck:
