@@ -47,7 +47,7 @@ from .multimeas import (
     successive_schedule,
     term_magnitudes,
 )
-from .oracle import ConvergenceError, HamiltonianSchedule, SpinState, propagate
+from .oracle import ConvergenceError, HamiltonianSchedule, SpinState, closed_form_deviation, propagate
 from .reconstruct import (
     ExpectationTriple,
     corrupted_reconstruction,
@@ -402,13 +402,7 @@ def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_to
         )
         schedule = HamiltonianSchedule.single(geom, CouplingProfile.constant())
         state = propagate(schedule, SpinState.plus())
-        a_minus = amplitude_exact(geom).amplitude_minus
-        correct, reversed_ = survival_split(geom)
-        dev = max(
-            abs(state.c_minus - a_minus),
-            abs(state.c_plus - (correct + reversed_)),
-        )
-        worst = max(worst, dev)
+        worst = max(worst, closed_form_deviation(geom, state))
     checks.append({
         "name": "exact-vs-oracle",
         "cases": cases,

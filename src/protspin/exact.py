@@ -50,9 +50,32 @@ class TransitionResult:
     method: Method
 
 
+# Where b^2 = 1 + xi^2 + 2 xi cos(gamma) falls below this, the sum has lost
+# over ten bits to cancellation near the degenerate point (xi = 1, gamma = pi).
+# There b^2 and 1 + xi cos(gamma) are formed from cos^2(gamma/2), which does
+# not cancel.  Elsewhere the direct sums stay, so results away from the point
+# keep their last digits.
+_CANCELLATION_B_SQ = 2.0 ** -10
+
+
 def _b_ratio(geom: MeasurementGeometry) -> float:
-    b_sq = 1.0 + geom.xi * geom.xi + 2.0 * geom.xi * math.cos(geom.gamma)
+    xi = geom.xi
+    b_sq = 1.0 + xi * xi + 2.0 * xi * math.cos(geom.gamma)
+    if b_sq < _CANCELLATION_B_SQ:
+        if xi == 1.0 and geom.gamma == math.pi:
+            # math.pi falls short of pi by 1.2e-16; the point is still degenerate
+            return 0.0
+        half = math.cos(0.5 * geom.gamma)
+        b_sq = (1.0 - xi) * (1.0 - xi) + 4.0 * xi * half * half
     return math.sqrt(max(b_sq, 0.0))
+
+
+def _rim(geom: MeasurementGeometry, b: float) -> float:
+    """1 + xi cos(gamma), the total field's z component, for field ratio b."""
+    if b * b < _CANCELLATION_B_SQ:
+        half = math.cos(0.5 * geom.gamma)
+        return (1.0 - geom.xi) + 2.0 * geom.xi * half * half
+    return 1.0 + geom.xi * math.cos(geom.gamma)
 
 
 def _branch_weights(geom: MeasurementGeometry, b: float) -> tuple[float, float]:
@@ -60,7 +83,7 @@ def _branch_weights(geom: MeasurementGeometry, b: float) -> tuple[float, float]:
     # The smaller weight comes from the cancellation-free product form
     # b -+ (1 + xi cos g) = xi^2 sin^2 g / (b +- (1 + xi cos g)); since
     # b >= |1 + xi cos g| the denominator b + |...| never cancels.
-    rim = 1.0 + geom.xi * math.cos(geom.gamma)
+    rim = _rim(geom, b)
     s = geom.xi * math.sin(geom.gamma)
     small = s * s / (2.0 * b * (b + abs(rim)))
     if rim >= 0.0:
@@ -82,7 +105,7 @@ def tilted_field(geom: MeasurementGeometry) -> TiltedField:
         raise DegenerateFieldError(
             f"total field vanishes at xi={geom.xi!r}, gamma={geom.gamma!r}"
         )
-    cos_theta = (1.0 + geom.xi * math.cos(geom.gamma)) / b
+    cos_theta = _rim(geom, b) / b
     sin_theta = geom.xi * math.sin(geom.gamma) / b
     cos_theta = min(1.0, max(-1.0, cos_theta))
     sin_theta = min(1.0, max(0.0, sin_theta))

@@ -16,6 +16,15 @@ conj(alpha)]].  Steps are multiplied by pairwise reduction at four complex
 multiplies per product, and each reduced product is rescaled by
 sqrt(|alpha|^2 + |beta|^2) to hold it on SU(2).
 
+A step's pair needs cos|c| and sin|c|/|c|.  On a chunk whose largest |c|^2
+is at most 1/16 (as on the fine refinements, where nearly all steps are)
+they are Taylor series in |c|^2, cut where the first omitted term is
+below 2**-64, so the step costs a few multiplies and no sine or cosine.  A
+chunk with larger steps takes np.sin and np.cos.  On the uniform grid of a
+built-in profile the couplings come from core.coupling_grid, which, on
+chunks of 1024 steps and more, combines two tables of about sqrt(steps)
+cosines by angle addition instead of taking a cosine per step.
+
 Steps are equal within a segment, except on a tabulated profile: there every
 knot is a step edge and each knot interval is split into equal steps, its
 share of the step count rounded up.  The coupling is then linear across every
@@ -38,12 +47,13 @@ estimates the midpoint rule's order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingProfile, MeasurementGeometry, ProfileKind, coupling_eval
+from .core import CouplingProfile, MeasurementGeometry, ProfileKind, coupling_eval, coupling_grid
 from .dyson import first_order_amplitude
 from .exact import amplitude_exact, survival_split
 
@@ -58,6 +68,14 @@ _CHUNK = 2 ** 14
 # sqrt(3)/6: the distance of the two Gauss-Legendre nodes from the step
 # midpoint, in steps, and the weight of the Magnus commutator term.
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# Taylor coefficients of cos(x) and sin(x)/x in p = x^2.  With n terms the
+# first omitted term is below 2**-64, far under an ulp of the sums (which
+# lie near 1), for every p below _SERIES_REACH[n - 1]; seven terms reach
+# past p = 1/16.
+_SERIES_MAX_P = 1.0 / 16.0
+_COS_SERIES = tuple((-1) ** k / math.factorial(2 * k) for k in range(7))
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
+_SERIES_REACH = tuple((math.factorial(2 * n) * 2.0 ** -64) ** (1.0 / n) for n in range(1, 8))
 
 
 class ConvergenceError(RuntimeError):
@@ -191,6 +209,23 @@ def _step_edges(edges: np.ndarray | None, counts, start: int, stop: int):
     return left, width
 
 
+def _cos_sinc_series(p: np.ndarray, p_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(x) and sin(x)/x at x = sqrt(p), for 0 <= p <= p_max <= _SERIES_MAX_P.
+
+    Both are Taylor series in p, summed by Horner's rule to the fewest terms
+    whose first omitted term is below 2**-64 at p_max.
+    """
+    terms = bisect.bisect_right(_SERIES_REACH, p_max) + 1
+    cos = np.full_like(p, _COS_SERIES[terms - 1])
+    sinc = np.full_like(p, _SINC_SERIES[terms - 1])
+    for k in range(terms - 2, -1, -1):
+        cos *= p
+        cos += _COS_SERIES[k]
+        sinc *= p
+        sinc += _SINC_SERIES[k]
+    return cos, sinc
+
+
 def _steps(
     seg: Segment, grid: tuple, start: int, stop: int, reverse: bool, order: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -205,35 +240,63 @@ def _steps(
     the two rules equal, so it takes the one-point form.  Then alpha =
     cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.  reverse
     gives the inverse steps in reversed order.
+
+    On a uniform grid a built-in profile's couplings come from
+    core.coupling_grid, which calls no cosine per step; other grids and
+    tabulated profiles use coupling_eval.  If every step of the chunk has
+    p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are their Taylor series in p,
+    cut where the first omitted term at the chunk's largest p is below
+    2**-64 (at most 7 terms), so no step needs a sine or cosine.  A chunk
+    with a larger step takes np.sqrt, np.sin and np.cos.
     """
     geom = seg.geom
-    left, width = _step_edges(*grid, start, stop)
+    profile = seg.profile
+    edges, counts = grid
+    if edges is None and profile.kind is not ProfileKind.TABULATED:
+        width = 1.0 / counts
+
+        def coupling(offset):
+            return coupling_grid(profile, counts, start, stop, offset) * geom.xi
+    else:
+        left, width = _step_edges(edges, counts, start, stop)
+
+        def coupling(offset):
+            return coupling_eval(profile, left + offset * width) * geom.xi
+
     half = 0.5 * geom.omega0T * width
     sin_g = math.sin(geom.gamma)
     nx = sin_g * math.cos(geom.eta)
     ny = sin_g * math.sin(geom.eta)
     nz = math.cos(geom.gamma)
 
-    if order == 2 or seg.profile.kind is ProfileKind.CONSTANT:
-        g = coupling_eval(seg.profile, left + 0.5 * width) * geom.xi
+    if order == 2 or profile.kind is ProfileKind.CONSTANT:
+        g = coupling(0.5)
         cx = (half * nx) * g
         cy = (half * ny) * g
     else:
-        g1 = coupling_eval(seg.profile, left + (0.5 - _GAUSS_OFFSET) * width) * geom.xi
-        g2 = coupling_eval(seg.profile, left + (0.5 + _GAUSS_OFFSET) * width) * geom.xi
+        g1 = coupling(0.5 - _GAUSS_OFFSET)
+        g2 = coupling(0.5 + _GAUSS_OFFSET)
         g = 0.5 * (g1 + g2)
         w = (_GAUSS_OFFSET * half * half) * (g2 - g1)
         cx = (half * nx) * g - ny * w
         cy = (half * ny) * g + nx * w
     cz = half * (1.0 + g * nz)
-    phi = np.sqrt(cx * cx + cy * cy + cz * cz)
-    # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
-    t = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
+    p = cx * cx
+    p += cy * cy
+    p += cz * cz
+    p_max = float(p.max())
+    if p_max <= _SERIES_MAX_P:
+        cos, t = _cos_sinc_series(p, p_max)
+    else:
+        phi = np.sqrt(p)
+        cos = np.cos(phi)
+        # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
+        t = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
     if reverse:
         t = -t
     alpha = np.empty(stop - start, dtype=complex)
     beta = np.empty(stop - start, dtype=complex)
-    alpha.real = np.cos(phi)
+    alpha.real = cos
     alpha.imag = cz * t
     beta.real = cy * t
     beta.imag = cx * t
@@ -400,6 +463,17 @@ def propagate(
     return SpinState(complex(final[0]), complex(final[1]))
 
 
+def closed_form_deviation(geom: MeasurementGeometry, state: SpinState) -> float:
+    """Largest deviation of state, evolved from |+> at constant coupling, from the closed forms.
+
+    max(|c_minus - A_minus|, |c_plus - A_plus|) with A_minus from
+    amplitude_exact and A_plus the sum of survival_split's two branches.
+    """
+    a_minus = amplitude_exact(geom).amplitude_minus
+    correct, reversed_ = survival_split(geom)
+    return max(abs(state.c_minus - a_minus), abs(state.c_plus - (correct + reversed_)))
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Oracle-versus-closed-form deviations for one geometry and profile."""
@@ -429,10 +503,7 @@ def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> Crosschec
 
     exact_dev = None
     if profile.kind is ProfileKind.CONSTANT:
-        a_minus = amplitude_exact(geom).amplitude_minus
-        correct, reversed_ = survival_split(geom)
-        a_plus = correct + reversed_
-        exact_dev = max(abs(a_minus - c_minus), abs(a_plus - c_plus))
+        exact_dev = closed_form_deviation(geom, SpinState(c_plus, c_minus))
 
     fo = first_order_amplitude(profile, geom).amplitude
     fo_dev = abs(c_minus - fo)

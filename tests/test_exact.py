@@ -1,6 +1,7 @@
 """Closed-form constant-coupling solution and momentum-branch analysis."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -207,3 +208,82 @@ class TestReversalProbability:
         exact, leading = reversal_probability(geom)
         assert 0.0 <= exact <= 1.0
         assert leading >= 0.0
+
+
+# pi to 50 digits, beyond the float gamma near it
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _decimal_series(x, first, step):
+    """Sum of the alternating series first - first x^2/step(1) + ..., to 1e-55 of the first term."""
+    term = total = first
+    k = 1
+    while abs(term) > Decimal("1e-55") * abs(first):
+        term = -term * x * x / step(k)
+        total += term
+        k += 1
+    return total
+
+
+def _decimal_sin(x):
+    return _decimal_series(x, x, lambda k: (2 * k) * (2 * k + 1))
+
+
+def _decimal_cos(x):
+    return _decimal_series(x, Decimal(1), lambda k: (2 * k - 1) * (2 * k))
+
+
+def _near_degenerate_reference(geom):
+    """Envelope magnitude, survival branches and reversal probability, in 60-digit decimal.
+
+    At xi = 1 - d and gamma = pi - e, with e the true offset of the float
+    gamma from pi, 1 + xi cos(gamma) = (1 - xi) + 2 xi sin^2(e/2) and
+    b^2 = (1 - xi)^2 + 4 xi sin^2(e/2), so no step cancels.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xi = Decimal(geom.xi)
+        e = _PI_50 - Decimal(geom.gamma)
+        sin_e, sin_half = _decimal_sin(e), _decimal_sin(e / 2)
+        b = ((1 - xi) ** 2 + 4 * xi * sin_half**2).sqrt()
+        rim = (1 - xi) + 2 * xi * sin_half**2
+        envelope = xi * sin_e / b
+        w_minus = (xi * sin_e) ** 2 / (2 * b * (b + rim))
+        w_plus = 1 - w_minus
+        phi = Decimal(geom.omega0T) / 2 * b
+        cos_phi, sin_phi = _decimal_cos(phi), _decimal_sin(phi)
+        correct = complex(w_plus * cos_phi, w_plus * sin_phi)
+        reversed_ = complex(w_minus * cos_phi, -w_minus * sin_phi)
+        reversal = w_minus**2 / (w_plus**2 + w_minus**2)
+        return float(envelope), correct, reversed_, float(reversal)
+
+
+class TestNearDegeneratePoint:
+    """Along xi = 1 - d, gamma = pi - d the total field shrinks like d."""
+
+    OFFSETS = [10.0**-k for k in range(2, 13)]
+
+    @pytest.mark.parametrize("omega0T", [10.0, 1e3])
+    @pytest.mark.parametrize("d", OFFSETS)
+    def test_matches_decimal_reference(self, d, omega0T):
+        geom = MeasurementGeometry(xi=1.0 - d, gamma=math.pi - d, eta=0.3, omega0T=omega0T)
+        envelope, correct, reversed_, reversal = _near_degenerate_reference(geom)
+        assert abs(abs(amplitude_envelope(geom).amplitude_minus) / envelope - 1.0) < 1e-15
+        got_correct, got_reversed = survival_split(geom)
+        assert abs(got_correct - correct) < 2e-15
+        assert abs(got_reversed - reversed_) < 2e-15
+        assert abs(reversal_probability(geom)[0] / reversal - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("omega0T", [10.0, 1e3])
+    @pytest.mark.parametrize("d", OFFSETS)
+    def test_conserves_probability(self, d, omega0T):
+        geom = MeasurementGeometry(xi=1.0 - d, gamma=math.pi - d, eta=0.3, omega0T=omega0T)
+        correct, reversed_ = survival_split(geom)
+        a_minus = amplitude_exact(geom).amplitude_minus
+        assert abs(abs(correct + reversed_) ** 2 + abs(a_minus) ** 2 - 1.0) < 1e-15
+
+    def test_only_the_point_itself_is_degenerate(self):
+        assert tilted_field(MeasurementGeometry(xi=1.0 - 1e-12, gamma=math.pi)).b_ratio > 0.0
+        assert tilted_field(MeasurementGeometry(xi=1.0, gamma=math.pi - 1e-12)).b_ratio > 0.0
+        with pytest.raises(DegenerateFieldError):
+            survival_split(MeasurementGeometry(xi=1.0, gamma=math.pi, omega0T=10.0))

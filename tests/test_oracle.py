@@ -15,6 +15,7 @@ from protspin import (
     HamiltonianSchedule,
     MeasurementGeometry,
     MultiFieldConfig,
+    ProfileKind,
     Segment,
     SpinState,
     amplitude_exact,
@@ -27,6 +28,7 @@ from protspin import (
     successive_schedule,
     survival_split,
 )
+from protspin.core import coupling_grid
 from helpers import propagate_midpoint, random_geometries, richardson_minus
 
 geometries = st.builds(
@@ -243,26 +245,43 @@ def _dense_product(exponents):
     return unitary
 
 
+def step_grid(profile, n):
+    """(left edge, width) of every step for a nominal n steps.
+
+    n equal steps, except on a tabulated profile with unequal knot
+    intervals: there each interval of width h holds ceil(n h) equal steps.
+    """
+    if profile.kind is not ProfileKind.TABULATED:
+        return [(j / n, 1.0 / n) for j in range(n)]
+    knots = [s for s, _ in profile.samples]
+    steps = []
+    for lo, hi in zip(knots, knots[1:]):
+        count = math.ceil(n * (hi - lo))
+        steps.extend((lo + k * (hi - lo) / count, (hi - lo) / count) for k in range(count))
+    return steps
+
+
 def dense_midpoint_product(geom, profile, n):
-    """Product of n exponential midpoint steps as dense 2x2 matrices."""
-    return _dense_product(_hamiltonian(geom, profile, (j + 0.5) / n) / n for j in range(n))
+    """Product of exponential midpoint steps on step_grid as dense 2x2 matrices."""
+    return _dense_product(
+        _hamiltonian(geom, profile, left + 0.5 * h) * h for left, h in step_grid(profile, n)
+    )
 
 
 def dense_magnus_product(geom, profile, n):
-    """Product of n two-Gauss-point Magnus steps as dense 2x2 matrices.
+    """Product of two-Gauss-point Magnus steps on step_grid as dense 2x2 matrices.
 
     With A = i H, Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] is i K
     for the Hermitian K = h/2 (H1 + H2) + i (sqrt(3) h^2/12) [H2, H1].
     """
-    h = 1.0 / n
     offset = math.sqrt(3.0) / 6.0
 
-    def exponent(j):
-        h1 = _hamiltonian(geom, profile, (j + 0.5 - offset) * h)
-        h2 = _hamiltonian(geom, profile, (j + 0.5 + offset) * h)
+    def exponent(left, h):
+        h1 = _hamiltonian(geom, profile, left + (0.5 - offset) * h)
+        h2 = _hamiltonian(geom, profile, left + (0.5 + offset) * h)
         return 0.5 * h * (h1 + h2) + 1j * (math.sqrt(3.0) * h * h / 12.0) * (h2 @ h1 - h1 @ h2)
 
-    return _dense_product(exponent(j) for j in range(n))
+    return _dense_product(exponent(left, h) for left, h in step_grid(profile, n))
 
 
 def exact_schedule_unitary(schedule):
@@ -287,24 +306,125 @@ def three_field_config(omega0T):
     )
 
 
+# Uneven knots, so that the grid is knot-aligned rather than uniform; the
+# values are 1 + cos(2 pi (s - 1/2)) rescaled to unit area.
+_UNEVEN_KNOTS = (0.0, 0.07, 0.2, 0.31, 0.5, 0.58, 0.77, 0.9, 1.0)
+_UNEVEN_VALUES = [1.0 + math.cos(2.0 * math.pi * (s - 0.5)) for s in _UNEVEN_KNOTS]
+_UNEVEN_AREA = sum(
+    0.5 * (b - a) * (u + v)
+    for a, b, u, v in zip(_UNEVEN_KNOTS, _UNEVEN_KNOTS[1:], _UNEVEN_VALUES, _UNEVEN_VALUES[1:])
+)
+UNEVEN_TABULATED = CouplingProfile.tabulated(
+    [(s, v / _UNEVEN_AREA) for s, v in zip(_UNEVEN_KNOTS, _UNEVEN_VALUES)]
+)
+KERNEL_PROFILES = [CouplingProfile.raised_cosine(), CouplingProfile.optimized(), UNEVEN_TABULATED]
+
+
 class TestKernel:
-    def test_matches_dense_matrix_product(self):
-        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=20.0)
-        profile = CouplingProfile.optimized()
+    # At omega0T = 20 every one of the 2**8 steps has |c|^2 <= 1/16 and takes
+    # the series; at 400 the chunk takes the sine and cosine.
+    @pytest.mark.parametrize("omega0T", [20.0, 400.0])
+    @pytest.mark.parametrize("profile", KERNEL_PROFILES, ids=lambda p: p.kind.value)
+    def test_matches_dense_matrix_product(self, profile, omega0T):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
         dense = dense_midpoint_product(geom, profile, 2**8)
         sched = HamiltonianSchedule.single(geom, profile)
         for psi0, column in ((SpinState.plus(), 0), (SpinState.minus(), 1)):
             out = propagate_midpoint(sched, psi0, 2**8).as_array()
             assert np.max(np.abs(out - dense[:, column])) < 1e-13
 
-    def test_magnus_matches_dense_matrix_product(self):
-        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=20.0)
-        profile = CouplingProfile.optimized()
+    @pytest.mark.parametrize("omega0T", [20.0, 400.0])
+    @pytest.mark.parametrize("profile", KERNEL_PROFILES, ids=lambda p: p.kind.value)
+    def test_magnus_matches_dense_matrix_product(self, profile, omega0T):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
         dense = dense_magnus_product(geom, profile, 2**8)
         sched = HamiltonianSchedule.single(geom, profile)
         for psi0, column in ((SpinState.plus(), 0), (SpinState.minus(), 1)):
             out = propagate(sched, psi0, steps=2**8).as_array()
             assert np.max(np.abs(out - dense[:, column])) < 1e-13
+
+    @pytest.mark.parametrize("omega0T", [20.0, 400.0])
+    def test_dense_cases_reach_both_sides_of_the_series_selection(self, monkeypatch, omega0T):
+        chunks = []
+        series = oracle._cos_sinc_series
+
+        def spy(p, p_max):
+            chunks.append(p.size)
+            return series(p, p_max)
+
+        monkeypatch.setattr(oracle, "_cos_sinc_series", spy)
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+        for profile in KERNEL_PROFILES:
+            sched = HamiltonianSchedule.single(geom, profile)
+            propagate_midpoint(sched, SpinState.plus(), 2**8)
+            propagate(sched, SpinState.plus(), steps=2**8)
+        # one chunk per run; all take the series at 20, none at 400
+        assert len(chunks) == (2 * len(KERNEL_PROFILES) if omega0T == 20.0 else 0)
+
+    def test_series_matches_math_within_two_ulp(self):
+        rng = np.random.default_rng(3)
+        edges = [x for x in oracle._SERIES_REACH if x < oracle._SERIES_MAX_P]
+        ps = np.concatenate([
+            [0.0, 1e-300, oracle._SERIES_MAX_P],
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            10.0 ** rng.uniform(-20.0, math.log10(oracle._SERIES_MAX_P), 3000),
+            rng.uniform(0.0, oracle._SERIES_MAX_P, 3000),
+        ])
+        for p in ps:
+            cos, sinc = oracle._cos_sinc_series(np.array([p]), p)
+            x = math.sqrt(p)
+            ref_cos = math.cos(x)
+            ref_sinc = math.sin(x) / x if x > 0.0 else 1.0
+            assert abs(cos[0] - ref_cos) <= 2.0 * math.ulp(ref_cos), p
+            assert abs(sinc[0] - ref_sinc) <= 2.0 * math.ulp(ref_sinc), p
+
+    @pytest.mark.parametrize("profile", KERNEL_PROFILES[:2], ids=lambda p: p.kind.value)
+    def test_grid_coupling_matches_coupling_eval(self, profile):
+        for n in (2**7, 2**8, 2**14, 2**15, 2**22):
+            width = 1.0 / n
+            for count in (1, 127, 128, 129, 2**14):
+                if count > n:
+                    continue
+                for start in sorted({0, (n - count) // 3, (n - count) // 2, n - count}):
+                    j = np.arange(start, start + count, dtype=float)
+                    for offset in (0.5, 0.5 - oracle._GAUSS_OFFSET, 0.5 + oracle._GAUSS_OFFSET):
+                        grid = coupling_grid(profile, n, start, start + count, offset)
+                        ref = coupling_eval(profile, j * width + offset * width)
+                        assert np.max(np.abs(grid - ref)) <= 1e-15, (n, count, start, offset)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("profile", KERNEL_PROFILES[:2], ids=lambda p: p.kind.value)
+    def test_no_sine_or_cosine_per_step(self, monkeypatch, profile, order):
+        sizes = []
+
+        def counted(func):
+            def wrapper(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return func(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=50.0)
+        seg = Segment(1.0, geom, profile)
+        alpha, _ = oracle._steps(seg, (None, 2**16), 2**14, 2**15, False, order)
+        assert alpha.size == 2**14
+        assert sizes and max(sizes) <= 256
+
+    @pytest.mark.parametrize(
+        "geom, profile, steps",
+        [
+            (MeasurementGeometry(xi=0.3, gamma=1.0, eta=0.2, omega0T=150.0),
+             CouplingProfile.raised_cosine(), 2**19),
+            (MeasurementGeometry(xi=0.05, gamma=0.7, eta=0.4, omega0T=400.0),
+             CouplingProfile.optimized(), 2**17),
+        ],
+    )
+    def test_crosscheck_steps_used_pinned(self, geom, profile, steps):
+        # recorded with the sine-and-cosine kernel the series replaced
+        assert crosscheck(geom, profile).steps_used == steps
 
     def test_unitarity_forward_and_reverse_across_chunks(self):
         # 2**18 steps span several chunks of the product reduction
