@@ -71,8 +71,23 @@ def _csv_text(header: list[str], rows: list[list[float]]) -> str:
     return buf.getvalue()
 
 
+def _json_text(value) -> str:
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    return json.dumps(_finite_or_null(value), indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _json_table(header: list[str], rows: list[list[float]]) -> str:
-    return json.dumps({"columns": header, "rows": rows}, indent=2) + "\n"
+    return _json_text({"columns": header, "rows": rows})
 
 
 def _record_csv(record: dict) -> str:
@@ -126,7 +141,7 @@ def _emit_record(args, record):
     if args.format == "csv":
         text = _record_csv(record)
     else:
-        text = json.dumps(record, indent=2) + "\n"
+        text = _json_text(record)
     _emit(text, args.output)
 
 

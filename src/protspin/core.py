@@ -97,18 +97,24 @@ def direction_angles(n) -> tuple[float, float]:
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
+    x, y, z = v.tolist()
+    norm = math.hypot(x, y, z)
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
-    gamma = math.atan2(math.hypot(v[0], v[1]), v[2])
-    eta = math.atan2(v[1], v[0]) % TWO_PI
+    gamma = math.atan2(math.hypot(x, y), z)
+    eta = math.atan2(y, x) % TWO_PI
     return gamma, eta
+
+
+def _unit_vector(gamma: float, eta: float) -> tuple[float, float, float]:
+    """(sin(gamma)cos(eta), sin(gamma)sin(eta), cos(gamma)) as plain floats."""
+    sg = math.sin(gamma)
+    return sg * math.cos(eta), sg * math.sin(eta), math.cos(gamma)
 
 
 def direction_vector(gamma: float, eta: float) -> np.ndarray:
     """Unit vector with polar angle gamma and azimuth eta."""
-    sg = math.sin(gamma)
-    return np.array([sg * math.cos(eta), sg * math.sin(eta), math.cos(gamma)])
+    return np.array(_unit_vector(gamma, eta))
 
 
 @dataclass(frozen=True)

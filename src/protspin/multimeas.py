@@ -6,6 +6,9 @@ vector sum of the three), while applying them in three successive windows of
 duration T tags each term with an extra phase exp(i (k-2) omega0T).  The
 per-term magnitudes are identical either way, and at omega0T equal to a
 multiple of 2 pi the full complex amplitudes coincide.
+
+Directions, their dot products and the superposed field are scalar float
+arithmetic; this module does not use numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import CouplingProfile, FieldSpec, MeasurementGeometry, direction_angles, sinc
+from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _unit_vector, sinc
 from .oracle import HamiltonianSchedule
 
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -43,11 +44,10 @@ class MultiFieldConfig:
         object.__setattr__(self, "fields", fields)
         if not (math.isfinite(self.omega0T) and self.omega0T >= 0.0):
             raise ValueError(f"omega0T must be finite and >= 0, got {self.omega0T!r}")
-        dirs = [f.direction() for f in fields]
+        u, v, w = (_unit_vector(f.gamma, f.eta) for f in fields)
         worst = max(
-            abs(float(np.dot(dirs[i], dirs[j])))
-            for i in range(3)
-            for j in range(i + 1, 3)
+            abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+            for a, b in ((u, v), (u, w), (v, w))
         )
         ok = worst < ORTHOGONALITY_TOLERANCE
         object.__setattr__(self, "orthogonal", ok)
@@ -111,16 +111,21 @@ def combined_field_geometry(config: MultiFieldConfig) -> MeasurementGeometry:
     """Single-field geometry equivalent to the three simultaneous fields.
 
     The superposed measurement field is (sum_k xi_k n_k); its magnitude is the
-    effective xi and its direction the effective (gamma, eta).
+    effective xi and its direction the effective (gamma, eta).  The angles
+    come from the unnormalized sum, so a field of any magnitude, subnormal
+    included, keeps its direction.
     """
-    w = np.zeros(3)
+    wx = wy = wz = 0.0
     for f in config.fields:
-        w += f.xi * f.direction()
-    xi_eff = float(np.linalg.norm(w))
+        x, y, z = _unit_vector(f.gamma, f.eta)
+        wx += f.xi * x
+        wy += f.xi * y
+        wz += f.xi * z
+    xi_eff = math.hypot(wx, wy, wz)
     if xi_eff == 0.0:
         return MeasurementGeometry(0.0, 0.0, 0.0, config.omega0T)
-    gamma, eta = direction_angles(w / xi_eff)
-    return MeasurementGeometry(xi_eff, gamma, eta, config.omega0T)
+    gamma = math.atan2(math.hypot(wx, wy), wz)
+    return MeasurementGeometry(xi_eff, gamma, math.atan2(wy, wx), config.omega0T)
 
 
 def simultaneous_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:

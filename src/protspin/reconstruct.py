@@ -5,6 +5,10 @@ expectation values e_k = <sigma . n_k>; the state follows from the Bloch
 inversion rho = (I + r . sigma)/2 with r = sum_k e_k n_k.  A sign-corrupted
 reading on one axis tilts r but keeps it on the unit sphere, so the
 reconstruction stays a pure state while its overlap with the true one drops.
+
+The 3-vector and 2x2 algebra here is written out in scalar float arithmetic:
+on vectors this short numpy's fixed cost per call would be nearly all of the
+time.  Public results are still ndarrays where they were.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import direction_vector
+from .core import _unit_vector
 from .oracle import SpinState
 
 ORTHONORMALITY_TOLERANCE = 1e-9
@@ -80,6 +84,10 @@ class DensityMatrix:
         }
 
 
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 @dataclass(frozen=True)
 class ExpectationTriple:
     """Spin expectation values along an orthonormal direction triple."""
@@ -96,21 +104,31 @@ class ExpectationTriple:
             raise ValueError("exactly three expectation values required")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "values", vals)
-        mat = np.array(dirs)
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(3))) > ORTHONORMALITY_TOLERANCE:
+        d1, d2, d3 = dirs
+        gram_defects = (
+            _dot(d1, d1) - 1.0, _dot(d2, d2) - 1.0, _dot(d3, d3) - 1.0,
+            _dot(d1, d2), _dot(d1, d3), _dot(d2, d3),
+        )
+        if not all(abs(e) <= ORTHONORMALITY_TOLERANCE for e in gram_defects):
             raise ValueError("directions must form an orthonormal triple")
-        if any(abs(v) > 1.0 + BLOCH_EXCESS_TOLERANCE for v in vals):
+        if not all(abs(v) <= 1.0 + BLOCH_EXCESS_TOLERANCE for v in vals):
             raise ValueError(f"expectation values must lie in [-1, 1], got {vals!r}")
-        r = mat.T @ np.array(vals)
-        if np.linalg.norm(r) > 1.0 + BLOCH_EXCESS_TOLERANCE:
-            raise ValueError(
-                f"expectation values imply |r| = {float(np.linalg.norm(r))!r} > 1"
-            )
+        norm = math.hypot(*self._bloch())
+        if norm > 1.0 + BLOCH_EXCESS_TOLERANCE:
+            raise ValueError(f"expectation values imply |r| = {norm!r} > 1")
+
+    def _bloch(self) -> tuple[float, float, float]:
+        """r = sum_k e_k n_k as plain floats."""
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.directions
+        e1, e2, e3 = self.values
+        return (
+            ax * e1 + bx * e2 + cx * e3,
+            ay * e1 + by * e2 + cy * e3,
+            az * e1 + bz * e2 + cz * e3,
+        )
 
     def bloch_vector(self) -> np.ndarray:
-        mat = np.array(self.directions)
-        return mat.T @ np.array(self.values)
+        return np.array(self._bloch())
 
 
 @dataclass(frozen=True)
@@ -126,32 +144,43 @@ def reconstruct_state(data: ExpectationTriple) -> ReconstructionResult:
     A Bloch vector pushed past unit length by measurement noise is clipped
     radially back to the sphere and flagged.
     """
-    r = data.bloch_vector()
-    norm = float(np.linalg.norm(r))
+    r = data._bloch()
+    norm = math.hypot(*r)
     clipped = norm > 1.0
     if clipped:
-        r = r / norm
-    return ReconstructionResult(rho=DensityMatrix.from_bloch(r), bloch_vector=r, clipped=clipped)
+        r = (r[0] / norm, r[1] / norm, r[2] / norm)
+    return ReconstructionResult(
+        rho=DensityMatrix.from_bloch(r), bloch_vector=np.array(r), clipped=clipped
+    )
 
 
 def fidelity(rho: DensityMatrix, reference: SpinState) -> float:
     """sqrt(<ref| rho |ref>) for a pure reference state."""
     if abs(reference.norm() - 1.0) > 1e-10:
         raise ValueError(f"reference state must be normalized, |psi| = {reference.norm()!r}")
-    psi = reference.as_array()
-    overlap = (psi.conjugate() @ (rho.as_matrix() @ psi)).real
+    a, b = reference.c_plus, reference.c_minus
+    overlap = (
+        a.conjugate() * (rho.rho00 * a + rho.rho01 * b)
+        + b.conjugate() * (rho.rho10 * a + rho.rho11 * b)
+    ).real
     return math.sqrt(max(overlap, 0.0))
 
 
 def measurement_triple(gamma: float, eta: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal triple whose third axis has polar angle gamma, azimuth eta."""
-    n3 = direction_vector(gamma, eta)
-    n1 = np.array([
-        math.cos(gamma) * math.cos(eta),
-        math.cos(gamma) * math.sin(eta),
-        -math.sin(gamma),
-    ])
-    n2 = np.cross(n3, n1)
+    return tuple(np.array(n) for n in _triple(gamma, eta))
+
+
+def _triple(gamma: float, eta: float):
+    """measurement_triple as tuples of floats; n2 = n3 x n1."""
+    n3 = _unit_vector(gamma, eta)
+    cg = math.cos(gamma)
+    n1 = (cg * math.cos(eta), cg * math.sin(eta), -math.sin(gamma))
+    n2 = (
+        n3[1] * n1[2] - n3[2] * n1[1],
+        n3[2] * n1[0] - n3[0] * n1[2],
+        n3[0] * n1[1] - n3[1] * n1[0],
+    )
     return n1, n2, n3
 
 
@@ -165,11 +194,7 @@ def corrupted_reconstruction(gamma: float, eta: float = 0.0) -> tuple[DensityMat
     """
     if not (math.isfinite(gamma) and 0.0 <= gamma <= math.pi):
         raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
-    n1, n2, n3 = measurement_triple(gamma, eta)
-    values = (float(n1[2]), float(n2[2]), -float(n3[2]))
-    triple = ExpectationTriple(
-        directions=(tuple(n1), tuple(n2), tuple(n3)),
-        values=values,
-    )
+    n1, n2, n3 = _triple(gamma, eta)
+    triple = ExpectationTriple(directions=(n1, n2, n3), values=(n1[2], n2[2], -n3[2]))
     result = reconstruct_state(triple)
     return result.rho, fidelity(result.rho, SpinState.plus())

@@ -39,6 +39,16 @@ def propagate_midpoint(schedule, psi0, steps, reverse=False):
     return SpinState(complex(psi[0]), complex(psi[1]))
 
 
+def forbid_numpy_vector_algebra(monkeypatch):
+    """Make numpy's small-vector routines raise, for code that must not call them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy vector algebra called")
+
+    for name in ("cross", "dot", "eye", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+
+
 def richardson_minus(geom, profile, n_coarse=2**17):
     """Step-doubled midpoint transition amplitude with the leading error term removed."""
     sched = HamiltonianSchedule.single(geom, profile)

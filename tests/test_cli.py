@@ -286,11 +286,48 @@ class TestReconstruct:
         assert payload["rho"]["rho00"]["re"] == pytest.approx(1.0, abs=1e-15)
         assert payload["clipped"] is False
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_expectation_is_rejected(self, capsys, value):
+        code, out, err = run(capsys, "reconstruct", "--expectations", value, "0", "0")
+        assert_one_line_error(code, out, err)
+        assert "expectation values must lie in [-1, 1]" in err
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(capsys, "reconstruct")
         assert code == 2
         code, _, _ = run(capsys, "reconstruct", "--gamma", "10", "--expectations", "0", "0", "1")
         assert code == 2
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_unconstrained_budget_is_null(self, capsys):
+        code, out, _ = run(capsys, "design", "--p-max", "1")
+        assert code == 0
+        assert "Infinity" not in out
+        assert strict_json(out)["max_gradient_tesla_per_meter"] is None
+
+    def test_csv_keeps_inf(self, capsys):
+        code, out, _ = run(capsys, "design", "--p-max", "1", "--format", "csv")
+        assert code == 0
+        assert "max_gradient_tesla_per_meter,inf\n" in out
+
+    def test_table_writes_non_finite_as_null(self):
+        text = protspin.cli._json_table(["x", "y"], [[1.5, math.inf], [-math.inf, math.nan]])
+        assert strict_json(text) == {"columns": ["x", "y"], "rows": [[1.5, None], [None, None]]}
+
+    def test_finite_output_is_unchanged(self, capsys):
+        record = {"a": [0.1, 2.0, {"b": 1e-300}], "c": True, "d": "text", "e": 3}
+        assert protspin.cli._json_text(record) == json.dumps(record, indent=2) + "\n"
+        _, out, _ = run(capsys, "design", "--p-max", "0.01")
+        assert strict_json(out) == json.loads(out)
 
 
 class TestDesign:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -115,6 +116,36 @@ class TestDirectionAngles:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):
             direction_angles((0.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize("n", [(0.6, 0.8, 1e-5), (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)])
+    def test_non_unit_message(self, n):
+        with pytest.raises(ValueError, match=r"direction must be a unit vector, \|n\| = "):
+            direction_angles(n)
+
+    @pytest.mark.parametrize("n, shape", [
+        ((0.6, 0.8), "(2,)"),
+        (np.array([[1.0], [0.0], [0.0]]), "(3, 1)"),
+        (np.array([[1.0, 0.0, 0.0]]), "(1, 3)"),
+    ])
+    def test_rejects_non_3_vector(self, n, shape):
+        with pytest.raises(ValueError, match=re.escape(f"direction must be a 3-vector, got shape {shape}")):
+            direction_angles(n)
+
+    def test_accepts_any_3_sequence(self):
+        expected = direction_angles((0.6, 0.0, 0.8))
+        assert direction_angles([0.6, 0.0, 0.8]) == expected
+        assert direction_angles(np.array([0.6, 0.0, 0.8])) == expected
+        assert direction_angles((0.6, 0, np.float64(0.8))) == expected
+
+    @given(
+        gamma=st.floats(min_value=0.0, max_value=math.pi),
+        eta=st.floats(min_value=-10.0, max_value=10.0),
+    )
+    def test_direction_vector_is_the_formula_as_array(self, gamma, eta):
+        n = direction_vector(gamma, eta)
+        assert isinstance(n, np.ndarray) and n.shape == (3,)
+        sg = math.sin(gamma)
+        assert n.tolist() == [sg * math.cos(eta), sg * math.sin(eta), math.cos(gamma)]
 
     @given(
         gamma=st.floats(min_value=1e-6, max_value=math.pi - 1e-6),

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from protspin import (
     CouplingProfile,
@@ -11,6 +14,7 @@ from protspin import (
     MultiFieldConfig,
     SpinState,
     combined_field_geometry,
+    direction_angles,
     first_order_amplitude,
     propagate,
     simultaneous_amplitude,
@@ -19,6 +23,7 @@ from protspin import (
     successive_schedule,
     term_magnitudes,
 )
+from helpers import forbid_numpy_vector_algebra
 
 
 def axes_config(xi1=0.05, xi2=0.05, xi3=0.05, omega0T=10.0):
@@ -52,6 +57,91 @@ class TestMultiFieldConfig:
         )
         config = MultiFieldConfig(fields=fields, omega0T=5.0, relaxed=True)
         assert not config.orthogonal
+
+
+# numpy's norm squares without scaling, so its sum underflows below ~1e-154
+strengths = st.one_of(st.just(0.0), st.floats(min_value=1e-150, max_value=2.0))
+fields_strategy = st.tuples(*[
+    st.builds(
+        FieldSpec,
+        xi=strengths,
+        gamma=st.floats(min_value=0.0, max_value=math.pi),
+        eta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        direction_index=st.just(k),
+    )
+    for k in (1, 2, 3)
+])
+
+
+def numpy_combined(fields):
+    """combined_field_geometry's (xi, gamma, eta) through numpy's vector algebra."""
+    w = np.zeros(3)
+    for f in fields:
+        w += f.xi * f.direction()
+    xi = float(np.linalg.norm(w))
+    if xi == 0.0:
+        return 0.0, 0.0, 0.0
+    gamma, eta = direction_angles(w / xi)
+    return xi, gamma, eta
+
+
+class TestScalarGeometry:
+    @given(fields=fields_strategy)
+    def test_combined_geometry_matches_numpy(self, fields):
+        combined = combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
+        xi, gamma, eta = numpy_combined(fields)
+        assert abs(combined.xi - xi) <= 1e-15 * max(1.0, xi)
+        assert abs(combined.gamma - gamma) <= 1e-15
+        # azimuth wraps; compare on the circle
+        d = abs(combined.eta - eta)
+        assert min(d, 2.0 * math.pi - d) <= 1e-15
+        assert combined.omega0T == 3.0
+
+    def test_tiny_field_keeps_its_direction(self):
+        def combined(xi):
+            fields = tuple(
+                FieldSpec(xi=x, gamma=1.0, eta=2.0, direction_index=k + 1)
+                for k, x in enumerate((0.0, 0.0, xi))
+            )
+            return combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
+
+        tiny = combined(3e-199)
+        assert abs(tiny.xi / 3e-199 - 1.0) < 1e-15
+        assert abs(tiny.gamma - 1.0) < 1e-15
+        assert abs(tiny.eta - 2.0) < 1e-15
+        # a subnormal field keeps few digits, but still a nonzero field
+        assert combined(5e-324).xi > 0.0
+
+    @given(fields=fields_strategy)
+    def test_orthogonality_flag_matches_numpy(self, fields):
+        config = MultiFieldConfig(fields, omega0T=1.0, relaxed=True)
+        dirs = [f.direction() for f in fields]
+        worst = max(abs(float(np.dot(dirs[i], dirs[j]))) for i, j in ((0, 1), (0, 2), (1, 2)))
+        if abs(worst - 1e-12) > 1e-15:
+            assert config.orthogonal == (worst < 1e-12)
+
+    def test_runs_without_numpy_vector_algebra(self, monkeypatch):
+        fields = (
+            FieldSpec(xi=0.1, gamma=1.1, eta=0.4, direction_index=1),
+            FieldSpec(xi=0.2, gamma=0.3, eta=2.0, direction_index=2),
+            FieldSpec(xi=0.3, gamma=2.5, eta=5.0, direction_index=3),
+        )
+        expected = combined_field_geometry(MultiFieldConfig(fields, omega0T=7.0, relaxed=True))
+        forbid_numpy_vector_algebra(monkeypatch)
+        config = MultiFieldConfig(fields, omega0T=7.0, relaxed=True)
+        assert not config.orthogonal
+        assert combined_field_geometry(config) == expected
+        assert abs(combined_field_geometry(axes_config()).xi - 0.05 * math.sqrt(3.0)) < 1e-16
+        assert direction_angles((0.0, 0.0, 1.0)) == (0.0, 0.0)
+
+    def test_skew_message_names_the_worst_product(self):
+        fields = (
+            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.0, direction_index=1),
+            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.3, direction_index=2),
+            FieldSpec(xi=0.1, gamma=0.0, eta=0.0, direction_index=3),
+        )
+        with pytest.raises(ValueError, match=f"worst [|]n_i . n_j[|] = {math.cos(0.3)!r}"):
+            MultiFieldConfig(fields=fields, omega0T=5.0)
 
 
 class TestSimultaneousAmplitude:

@@ -509,6 +509,26 @@ class TestStaticFastPath:
             assert abs(propagate(successive, SpinState.plus(), steps=3, reverse=reverse).norm() - 1.0) < 1e-15
 
 
+class TestNearDegeneratePoint:
+    """Along xi = 1 - d, gamma = pi - d the total field shrinks like d.
+
+    The closed forms there are pinned against a decimal reference in
+    test_exact; the oracle must follow them.
+    """
+
+    @pytest.mark.parametrize("omega0T", [10.0, 1e3])
+    @pytest.mark.parametrize("d", [10.0**-k for k in range(2, 13)])
+    def test_oracle_matches_closed_forms(self, d, omega0T):
+        geom = MeasurementGeometry(xi=1.0 - d, gamma=math.pi - d, eta=0.3, omega0T=omega0T)
+        constant = CouplingProfile.constant()
+        sched = HamiltonianSchedule.single(geom, constant)
+        adaptive = propagate(sched, SpinState.plus())
+        assert oracle.closed_form_deviation(geom, adaptive) < 1e-13
+        midpoint = propagate_midpoint(sched, SpinState.plus(), 2**14)
+        assert oracle.closed_form_deviation(geom, midpoint) < 1e-13
+        assert crosscheck(geom, constant).exact_deviation < 1e-13
+
+
 class TestCrosscheck:
     def test_constant_profile_matches_closed_form(self):
         rep = crosscheck(

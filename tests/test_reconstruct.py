@@ -16,6 +16,7 @@ from protspin import (
     measurement_triple,
     reconstruct_state,
 )
+from helpers import forbid_numpy_vector_algebra
 
 AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -23,6 +24,33 @@ AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 def random_orthonormal_triple(rng):
     basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     return tuple(tuple(float(x) for x in row) for row in basis.T)
+
+
+# The same quantities through numpy's vector algebra, as the library once
+# computed them; the scalar forms must agree to the last bit or two.
+def numpy_triple(gamma, eta):
+    n3 = np.array([math.sin(gamma) * math.cos(eta), math.sin(gamma) * math.sin(eta), math.cos(gamma)])
+    n1 = np.array([math.cos(gamma) * math.cos(eta), math.cos(gamma) * math.sin(eta), -math.sin(gamma)])
+    return n1, np.cross(n3, n1), n3
+
+
+def numpy_reconstructed_bloch(directions, values):
+    r = np.array(directions).T @ np.array(values)
+    norm = float(np.linalg.norm(r))
+    return r / norm if norm > 1.0 else r
+
+
+def numpy_overlap(rho, state):
+    psi = state.as_array()
+    return float((psi.conjugate() @ (rho.as_matrix() @ psi)).real)
+
+
+def entries(rho):
+    return np.array([rho.rho00, rho.rho01, rho.rho10, rho.rho11])
+
+
+polar = st.floats(min_value=0.0, max_value=math.pi)
+azimuth = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 
 class TestDensityMatrix:
@@ -109,6 +137,77 @@ class TestReconstructState:
         result = reconstruct_state(ExpectationTriple(directions=dirs, values=values))
         expected = DensityMatrix.from_bloch(tuple(v))
         assert np.allclose(result.rho.as_matrix(), expected.as_matrix(), atol=1e-12)
+
+
+class TestScalarGeometry:
+    @given(gamma=polar, eta=azimuth)
+    def test_triple_matches_numpy(self, gamma, eta):
+        for got, want in zip(measurement_triple(gamma, eta), numpy_triple(gamma, eta)):
+            assert isinstance(got, np.ndarray) and got.shape == (3,)
+            assert np.max(np.abs(got - want)) <= 5e-16
+
+    @given(gamma=polar, eta=azimuth)
+    def test_corrupted_reconstruction_matches_numpy(self, gamma, eta):
+        rho, f = corrupted_reconstruction(gamma, eta)
+        n1, n2, n3 = numpy_triple(gamma, eta)
+        r = numpy_reconstructed_bloch((n1, n2, n3), (n1[2], n2[2], -n3[2]))
+        assert np.max(np.abs(rho.bloch_vector - r)) <= 5e-16
+        assert np.max(np.abs(entries(rho) - entries(DensityMatrix.from_bloch(r)))) <= 5e-16
+        assert abs(f * f - max(numpy_overlap(rho, SpinState.plus()), 0.0)) <= 1e-15
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        radius=st.floats(min_value=0.0, max_value=1.0 + 5e-10),
+    )
+    def test_reconstruct_state_matches_numpy(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        r_true = radius * v / np.linalg.norm(v)
+        dirs = random_orthonormal_triple(rng)
+        values = tuple(float(np.dot(r_true, d)) for d in dirs)
+        data = ExpectationTriple(directions=dirs, values=values)
+        result = reconstruct_state(data)
+        assert isinstance(data.bloch_vector(), np.ndarray)
+        assert isinstance(result.bloch_vector, np.ndarray)
+        assert np.max(np.abs(data.bloch_vector() - np.array(dirs).T @ np.array(values))) <= 5e-16
+        r = numpy_reconstructed_bloch(dirs, values)
+        assert np.max(np.abs(result.bloch_vector - r)) <= 5e-16
+        assert np.max(np.abs(entries(result.rho) - entries(DensityMatrix.from_bloch(r)))) <= 5e-16
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fidelity_matches_numpy_overlap(self, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        rho = DensityMatrix.from_bloch(rng.uniform(0.0, 1.0) * v / np.linalg.norm(v))
+        c = rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        state = SpinState(complex(c[0], c[1]), complex(c[2], c[3]))
+        assert abs(fidelity(rho, state) ** 2 - numpy_overlap(rho, state)) <= 1e-15
+
+    def test_runs_without_numpy_vector_algebra(self, monkeypatch):
+        expected = corrupted_reconstruction(0.7, 1.3)
+        axes = reconstruct_state(ExpectationTriple(directions=AXES, values=(0.3, 0.2, 0.1)))
+        forbid_numpy_vector_algebra(monkeypatch)
+        assert corrupted_reconstruction(0.7, 1.3) == expected
+        again = reconstruct_state(ExpectationTriple(directions=AXES, values=(0.3, 0.2, 0.1)))
+        assert again.rho == axes.rho
+        assert again.bloch_vector.tolist() == axes.bloch_vector.tolist()
+
+    @pytest.mark.parametrize("values, message", [
+        ((math.nan, 0.0, 0.0), "expectation values must lie in"),
+        ((math.inf, 0.0, 0.0), "expectation values must lie in"),
+        ((0.0, 0.0, 1.0 + 1e-8), "expectation values must lie in"),
+        ((0.8, 0.8, 0.0), "expectation values imply"),
+    ])
+    def test_rejects_values_outside_the_ball(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            ExpectationTriple(directions=AXES, values=values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-8])
+    def test_rejects_non_orthonormal_or_non_finite_directions(self, bad):
+        dirs = ((1.0, 0.0, 0.0), (0.0, 1.0, bad), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="directions must form an orthonormal triple"):
+            ExpectationTriple(directions=dirs, values=(0.1, 0.1, 0.1))
 
 
 class TestFidelity:
