@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import protspin.cli
+from make_cli_golden import BENCH_CASES, GOLDEN, all_argv, run_case
 from protspin import ConvergenceError, LabParameters, derive_report
 from protspin.cli import build_parser, main
 
@@ -547,3 +548,21 @@ def test_seed_is_rejected_where_nothing_is_random(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--seed" in err
+
+
+_GOLDEN = json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_matches_its_cases():
+    assert [case["argv"] for case in _GOLDEN] == all_argv()
+    frozen = {tuple(case["argv"]): case["stdout"] for case in _GOLDEN}
+    for case in json.loads(BENCH_CASES.read_text()):
+        assert frozen[tuple(case["argv"])] == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "case", _GOLDEN, ids=lambda case: " ".join(case["argv"]) or "no-arguments"
+)
+def test_output_is_frozen(tmp_path, case):
+    """Exit code, stdout, stderr and written files match tests/data/cli_golden.json."""
+    assert run_case(case["argv"], tmp_path) == case
