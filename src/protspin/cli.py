@@ -54,20 +54,16 @@ from .reconstruct import (
     reconstruct_state,
 )
 
-_METHOD_ORDER = ("exact", "envelope", "taylor", "first-order", "oracle")
-_AXES = ("xi", "gamma", "omega0T")
+# sweep axis -> header of its column
+_AXES = {"xi": "xi", "gamma": "gamma_deg", "omega0T": "omega0T"}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([_scalar_text(v) for v in row])
     return buf.getvalue()
 
 
@@ -90,15 +86,6 @@ def _json_table(header: list[str], rows: list[list[float]]) -> str:
     return _json_text({"columns": header, "rows": rows})
 
 
-def _record_csv(record: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _flatten(record):
-        writer.writerow([key, value])
-    return buf.getvalue()
-
-
 def _flatten(record: dict, prefix: str = ""):
     for key, value in record.items():
         name = f"{prefix}{key}"
@@ -109,14 +96,14 @@ def _flatten(record: dict, prefix: str = ""):
                 if isinstance(item, dict):
                     yield from _flatten(item, f"{name}[{i}].")
                 else:
-                    yield f"{name}[{i}]", _scalar_text(item)
+                    yield f"{name}[{i}]", item
         else:
-            yield name, _scalar_text(value)
+            yield name, value
 
 
 def _scalar_text(value) -> str:
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.17g}"
     return str(value)
 
 
@@ -139,7 +126,7 @@ def _emit_table(args, header, rows):
 
 def _emit_record(args, record):
     if args.format == "csv":
-        text = _record_csv(record)
+        text = _csv_text(["key", "value"], _flatten(record))
     else:
         text = _json_text(record)
     _emit(text, args.output)
@@ -174,10 +161,7 @@ def _parse_profile(spec: str) -> CouplingProfile:
         return _PROFILE_NAMES[spec]()
     if spec.startswith("tabulated:"):
         return CouplingProfile.from_file(spec.split(":", 1)[1])
-    raise ValueError(
-        f"unknown profile {spec!r}; use constant, raised-cosine, optimized "
-        "or tabulated:<path>"
-    )
+    raise ValueError(f"unknown profile {spec!r}; use {', '.join(_PROFILE_NAMES)} or tabulated:<path>")
 
 
 def _axis_grid(args) -> list[float]:
@@ -192,27 +176,32 @@ def _axis_grid(args) -> list[float]:
     return np.linspace(args.min, args.max, args.count).tolist()
 
 
-def _sweep_methods(args) -> list[str]:
-    if args.methods.strip() == "all":
-        return list(_METHOD_ORDER)
-    requested = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in requested if m not in _METHOD_ORDER]
-    if unknown:
-        raise ValueError(f"unknown method(s): {', '.join(unknown)}")
-    return [m for m in _METHOD_ORDER if m in requested]
-
-
-def _sweep_probability(method: str, geom: MeasurementGeometry, profile, steps) -> float:
-    if method == "exact":
-        return amplitude_exact(geom).probability_minus
-    if method == "envelope":
-        return amplitude_envelope(geom).probability_minus
-    if method == "taylor":
-        return probability_taylor(geom)
-    if method == "first-order":
-        return abs(first_order_amplitude(profile, geom).amplitude) ** 2
+def _oracle_probability(geom: MeasurementGeometry, profile, steps) -> float:
     state = propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus(), steps=steps)
     return abs(state.c_minus) ** 2
+
+
+# method -> (P_minus(geom, profile, steps), whether it needs --omega0T), in column order
+_SWEEP_METHODS = {
+    "exact": (lambda geom, profile, steps: amplitude_exact(geom).probability_minus, True),
+    "envelope": (lambda geom, profile, steps: amplitude_envelope(geom).probability_minus, False),
+    "taylor": (lambda geom, profile, steps: probability_taylor(geom), False),
+    "first-order": (
+        lambda geom, profile, steps: abs(first_order_amplitude(profile, geom).amplitude) ** 2,
+        True,
+    ),
+    "oracle": (_oracle_probability, True),
+}
+
+
+def _sweep_methods(args) -> list[str]:
+    if args.methods.strip() == "all":
+        return list(_SWEEP_METHODS)
+    requested = [m.strip() for m in args.methods.split(",") if m.strip()]
+    unknown = [m for m in requested if m not in _SWEEP_METHODS]
+    if unknown:
+        raise ValueError(f"unknown method(s): {', '.join(unknown)}")
+    return [m for m in _SWEEP_METHODS if m in requested]
 
 
 def cmd_sweep(args) -> int:
@@ -220,29 +209,23 @@ def cmd_sweep(args) -> int:
     grid = _axis_grid(args)
     profile = _parse_profile(args.profile)
 
-    needs_omega = {"exact", "first-order", "oracle"}
-    if args.axis != "omega0T" and args.omega0T is None and needs_omega & set(methods):
-        raise ValueError(
-            f"methods {sorted(needs_omega & set(methods))} need --omega0T"
-        )
-    if args.axis != "xi" and args.xi is None:
-        raise ValueError("--xi is required unless it is the sweep axis")
-    if args.axis != "gamma" and args.gamma is None:
-        raise ValueError("--gamma is required unless it is the sweep axis")
+    needs_omega = [m for m in methods if _SWEEP_METHODS[m][1]]
+    if args.axis != "omega0T" and args.omega0T is None and needs_omega:
+        raise ValueError(f"methods {sorted(needs_omega)} need --omega0T")
+    for name in ("xi", "gamma"):
+        if args.axis != name and getattr(args, name) is None:
+            raise ValueError(f"--{name} is required unless it is the sweep axis")
 
     eta = math.radians(args.eta)
-    header = [{"xi": "xi", "gamma": "gamma_deg", "omega0T": "omega0T"}[args.axis]]
-    header += [f"p_minus_{m.replace('-', '_')}" for m in methods]
+    header = [_AXES[args.axis]] + [f"p_minus_{m.replace('-', '_')}" for m in methods]
+    probabilities = [_SWEEP_METHODS[m][0] for m in methods]
     rows = []
     for value in grid:
         xi = value if args.axis == "xi" else args.xi
         gamma = math.radians(value) if args.axis == "gamma" else math.radians(args.gamma)
         omega0T = value if args.axis == "omega0T" else (args.omega0T or 0.0)
         geom = MeasurementGeometry(xi=xi, gamma=gamma, eta=eta, omega0T=omega0T)
-        row = [value]
-        for method in methods:
-            row.append(_sweep_probability(method, geom, profile, args.steps))
-        rows.append(row)
+        rows.append([value] + [p(geom, profile, args.steps) for p in probabilities])
     _emit_table(args, header, rows)
     return 0
 
@@ -374,26 +357,14 @@ def cmd_design(args) -> int:
     else:
         lab = LabParameters.potassium()
     overrides = {
-        name: getattr(args, name)
-        for name in ("mu", "mass", "b0", "grad_b1", "d", "t_oven")
-        if getattr(args, name) is not None
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(LabParameters)
+        if getattr(args, field.name) is not None
     }
     if args.gamma is not None:
         overrides["gamma"] = math.radians(args.gamma)
     lab = dataclasses.replace(lab, **overrides)
-    report = derive_report(lab)
-    record = {
-        "inputs": {
-            "mu_joule_per_tesla": lab.mu,
-            "mass_kg": lab.mass,
-            "b0_tesla": lab.b0,
-            "grad_b1_tesla_per_meter": lab.grad_b1,
-            "d_meter": lab.d,
-            "t_oven_kelvin": lab.t_oven,
-            "gamma_deg": math.degrees(lab.gamma),
-        },
-        "report": report.as_dict(),
-    }
+    record = {"inputs": lab.as_config(), "report": derive_report(lab).as_dict()}
     if args.target_displacement is not None:
         record["required_gradient_tesla_per_meter"] = required_gradient(
             args.target_displacement, lab
@@ -404,10 +375,18 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_tol: float):
-    checks = []
+def _check(name: str, cases: int, deviation: float, tolerance: float) -> dict:
+    return {
+        "name": name,
+        "cases": cases,
+        "max_deviation": deviation,
+        "tolerance": tolerance,
+        "passed": bool(deviation < tolerance),
+    }
 
-    worst = 0.0
+
+def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_tol: float):
+    exact_worst = 0.0
     for _ in range(cases):
         geom = MeasurementGeometry(
             xi=float(rng.uniform(0.0, 2.0)),
@@ -417,42 +396,18 @@ def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_to
         )
         schedule = HamiltonianSchedule.single(geom, CouplingProfile.constant())
         state = propagate(schedule, SpinState.plus())
-        worst = max(worst, closed_form_deviation(geom, state))
-    checks.append({
-        "name": "exact-vs-oracle",
-        "cases": cases,
-        "max_deviation": worst,
-        "tolerance": exact_tol,
-        "passed": bool(worst < exact_tol),
-    })
+        exact_worst = max(exact_worst, closed_form_deviation(geom, state))
 
-    worst = 0.0
-    for kind_name, profile in _PROFILE_NAMES.items():
+    first_order_worst = 0.0
+    for profile in _PROFILE_NAMES.values():
         # gamma = pi/2 suppresses the quadratic correction term
         geom = MeasurementGeometry(xi=1e-3, gamma=0.5 * math.pi, eta=0.4, omega0T=5.0)
         state = propagate(HamiltonianSchedule.single(geom, profile()), SpinState.plus())
         fo = first_order_amplitude(profile(), geom).amplitude
-        rel = abs(state.c_minus - fo) / abs(fo)
-        worst = max(worst, rel)
-    checks.append({
-        "name": "first-order-small-xi",
-        "cases": len(_PROFILE_NAMES),
-        "max_deviation": worst,
-        "tolerance": fo_tol,
-        "passed": bool(worst < fo_tol),
-    })
+        first_order_worst = max(first_order_worst, abs(state.c_minus - fo) / abs(fo))
 
     config = MultiFieldConfig.axes(0.01, 0.008, 0.006, omega0T=10.0 * math.pi)
-    sim = simultaneous_amplitude(config)
-    succ = successive_amplitude(config)
-    dev = abs(sim - succ)
-    checks.append({
-        "name": "successive-equals-simultaneous-at-2pi-multiple",
-        "cases": 1,
-        "max_deviation": dev,
-        "tolerance": 1e-12,
-        "passed": bool(dev < 1e-12),
-    })
+    dev = abs(simultaneous_amplitude(config) - successive_amplitude(config))
 
     geom = MeasurementGeometry(xi=0.3, gamma=1.0, eta=0.7, omega0T=50.0)
     state = propagate(
@@ -460,16 +415,12 @@ def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_to
         SpinState.plus(),
         steps=2 ** 14,
     )
-    drift = abs(state.norm() - 1.0)
-    checks.append({
-        "name": "unitarity",
-        "cases": 1,
-        "max_deviation": drift,
-        "tolerance": 1e-12,
-        "passed": bool(drift < 1e-12),
-    })
-
-    return checks
+    return [
+        _check("exact-vs-oracle", cases, exact_worst, exact_tol),
+        _check("first-order-small-xi", len(_PROFILE_NAMES), first_order_worst, fo_tol),
+        _check("successive-equals-simultaneous-at-2pi-multiple", 1, dev, 1e-12),
+        _check("unitarity", 1, abs(state.norm() - 1.0), 1e-12),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -510,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.0, help="azimuth in degrees")
     p.add_argument("--omega0T", type=float)
     p.add_argument("--methods", default="envelope",
-                   help="comma list of exact,envelope,taylor,first-order,oracle or 'all'")
+                   help=f"comma list of {','.join(_SWEEP_METHODS)} or 'all'")
     p.add_argument("--profile", default="constant",
-                   help="constant | raised-cosine | optimized | tabulated:<path>")
+                   help=" | ".join([*_PROFILE_NAMES, "tabulated:<path>"]))
     p.add_argument("--steps", type=int, default=None,
                    help="fixed oracle step count (default: adaptive)")
     p.add_argument("--gnuplot", action="store_true", help="also write <output>.gp")
@@ -530,10 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multi", parents=[common], help="three orthogonal measurement fields")
     p.add_argument("--omega0T", type=float, required=True)
     p.add_argument("--xi", type=float, nargs=3, required=True, metavar=("XI1", "XI2", "XI3"))
-    p.add_argument("--gamma", type=float, nargs=3, default=[90.0, 90.0, 0.0],
+    p.add_argument("--gamma", type=float, nargs=3, default=(90.0, 90.0, 0.0),
                    metavar=("G1", "G2", "G3"),
                    help="polar angles in degrees (default: x, y, z axes)")
-    p.add_argument("--eta", type=float, nargs=3, default=[0.0, 90.0, 0.0],
+    p.add_argument("--eta", type=float, nargs=3, default=(0.0, 90.0, 0.0),
                    metavar=("E1", "E2", "E3"), help="azimuths in degrees")
     p.add_argument("--relaxed", action="store_true",
                    help="allow non-orthogonal directions (flagged in output)")

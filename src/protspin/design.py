@@ -31,15 +31,16 @@ ATOMIC_MASS_UNIT = 1.66053907e-27  # kg
 POTASSIUM_MU = 9.3e-24            # J/T, one Bohr magneton to the digits used here
 POTASSIUM_MASS = 39.0 * ATOMIC_MASS_UNIT
 
-_REQUIRED_JSON_FIELDS = (
-    "mu_joule_per_tesla",
-    "mass_kg",
-    "b0_tesla",
-    "grad_b1_tesla_per_meter",
-    "d_meter",
-    "t_oven_kelvin",
-    "gamma_deg",
-)
+# LabParameters field -> its unit-bearing config key, in field order
+_CONFIG_KEYS = {
+    "mu": "mu_joule_per_tesla",
+    "mass": "mass_kg",
+    "b0": "b0_tesla",
+    "grad_b1": "grad_b1_tesla_per_meter",
+    "d": "d_meter",
+    "t_oven": "t_oven_kelvin",
+    "gamma": "gamma_deg",
+}
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class LabParameters:
     gamma: float = 0.25 * math.pi
 
     def __post_init__(self):
-        for name in ("mu", "mass", "b0", "grad_b1", "d", "t_oven"):
+        for name in _CONFIG_KEYS:
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if name != "gamma" and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.gamma) and 0.0 <= self.gamma <= math.pi):
             raise ValueError(f"gamma must lie in [0, pi], got {self.gamma!r}")
@@ -109,22 +110,22 @@ class LabParameters:
                 data.setdefault("mass_kg", POTASSIUM_MASS)
             else:
                 raise ValueError(f"unknown species {species!r} (only potassium-39 is built in)")
-        missing = [name for name in _REQUIRED_JSON_FIELDS if name not in data]
+        missing = [key for key in _CONFIG_KEYS.values() if key not in data]
         if missing:
             raise ValueError(f"missing required config field(s): {', '.join(missing)}")
-        return cls(
-            mu=float(data["mu_joule_per_tesla"]),
-            mass=float(data["mass_kg"]),
-            b0=float(data["b0_tesla"]),
-            grad_b1=float(data["grad_b1_tesla_per_meter"]),
-            d=float(data["d_meter"]),
-            t_oven=float(data["t_oven_kelvin"]),
-            gamma=math.radians(float(data["gamma_deg"])),
-        )
+        values = {name: float(data[key]) for name, key in _CONFIG_KEYS.items()}
+        values["gamma"] = math.radians(values["gamma"])
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path) -> "LabParameters":
         return cls.from_config(json.loads(Path(path).read_text()))
+
+    def as_config(self) -> dict:
+        """The parameters under their unit-bearing config names, gamma in degrees."""
+        config = {key: getattr(self, name) for name, key in _CONFIG_KEYS.items()}
+        config["gamma_deg"] = math.degrees(self.gamma)
+        return config
 
 
 @dataclass(frozen=True)
@@ -200,9 +201,11 @@ def required_gradient(target_displacement: float, lab: LabParameters) -> float:
 
 
 def xi_budget(p_max: float, lab: LabParameters) -> float:
-    """Largest gradient (T/m) keeping the worst-case flip probability <= p_max.
+    """Largest gradient (T/m) keeping the flip probability at gamma = pi/2 <= p_max.
 
-    p_max = 1 poses no constraint and returns +inf.
+    This is xi_bound(p_max) in lab units, not a worst case over gamma: other
+    polar angles allow up to xi^2 (see xi_bound).  p_max = 1 poses no
+    constraint and returns +inf.
     """
     if p_max == 1.0:
         return math.inf

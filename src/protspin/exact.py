@@ -151,7 +151,12 @@ def probability_taylor(geom: MeasurementGeometry) -> float:
 
 
 def xi_bound(p_max: float) -> float:
-    """Largest xi whose worst-case (gamma = pi/2) envelope probability stays <= p_max."""
+    """Largest xi whose envelope probability at gamma = pi/2 stays <= p_max.
+
+    This is not a worst case over gamma: at fixed xi < 1 the envelope peaks
+    at cos(gamma) = -xi, where it equals xi^2.  For example xi_bound(0.01) is
+    0.1005, which allows P_minus = 0.0101 there.
+    """
     if not (math.isfinite(p_max) and 0.0 < p_max < 1.0):
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max!r}")
     return math.sqrt(p_max / (1.0 - p_max))

@@ -22,6 +22,11 @@ from .oracle import HamiltonianSchedule
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
+# 2^53 times the smallest normal float.  Horizontal sums below it may hold
+# products that rounded to a subnormal step (a polar angle or a strength near
+# 1e-308), which can leave the azimuth only a few correct digits.
+_SUBNORMAL_MARGIN = 2.0 ** -969
+
 
 @dataclass(frozen=True)
 class MultiFieldConfig:
@@ -112,8 +117,9 @@ def combined_field_geometry(config: MultiFieldConfig) -> MeasurementGeometry:
 
     The superposed measurement field is (sum_k xi_k n_k); its magnitude is the
     effective xi and its direction the effective (gamma, eta).  The angles
-    come from the unnormalized sum, so a field of any magnitude, subnormal
-    included, keeps its direction.
+    come from the unnormalized sum, so a field of any magnitude keeps its
+    direction; where the horizontal part is near the subnormal range the
+    azimuth is taken from a rescaled sum (see _rescaled_horizontal).
     """
     wx = wy = wz = 0.0
     for f in config.fields:
@@ -125,7 +131,33 @@ def combined_field_geometry(config: MultiFieldConfig) -> MeasurementGeometry:
     if xi_eff == 0.0:
         return MeasurementGeometry(0.0, 0.0, 0.0, config.omega0T)
     gamma = math.atan2(math.hypot(wx, wy), wz)
+    if abs(wx) < _SUBNORMAL_MARGIN and abs(wy) < _SUBNORMAL_MARGIN:
+        wx, wy = _rescaled_horizontal(config.fields)
     return MeasurementGeometry(xi_eff, gamma, math.atan2(wy, wx), config.omega0T)
+
+
+def _rescaled_horizontal(fields) -> tuple[float, float]:
+    """sum_k xi_k sin(gamma_k) (cos(eta_k), sin(eta_k)) times one power of two.
+
+    Each strength xi_k sin(gamma_k) is split into mantissa and exponent, and
+    the terms are scaled by an exact power of two that brings the largest to
+    order one, so no product rounds to a subnormal step.
+    """
+    terms = []
+    for f in fields:
+        m_xi, e_xi = math.frexp(f.xi)
+        m_sin, e_sin = math.frexp(math.sin(f.gamma))
+        if m_xi * m_sin:
+            terms.append((m_xi * m_sin, e_xi + e_sin, f.eta))
+    if not terms:
+        return 0.0, 0.0
+    top = max(e for _, e, _ in terms)
+    hx = hy = 0.0
+    for m, e, eta in terms:
+        h = math.ldexp(m, e - top)
+        hx += h * math.cos(eta)
+        hy += h * math.sin(eta)
+    return hx, hy
 
 
 def simultaneous_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:

@@ -1,6 +1,6 @@
 """Freeze the CLI's exit code, stdout, stderr and written files, case by case.
 
-    PYTHONPATH=src python3 tests/make_cli_golden.py
+    python3 tests/make_cli_golden.py
 
 Rewrites tests/data/cli_golden.json from the current code, and
 tests/test_cli.py replays every case through ``cli.main`` and compares the

@@ -243,6 +243,11 @@ class TestMulti:
         _, explicit, _ = run(capsys, *argv, "--gamma", "90", "90", "0", "--eta", "0", "90", "0")
         assert implicit == explicit
 
+    def test_direction_defaults_are_tuples(self):
+        args = build_parser().parse_args(["multi", "--omega0T", "1", "--xi", "0", "0", "0"])
+        assert args.gamma == (90.0, 90.0, 0.0)
+        assert args.eta == (0.0, 90.0, 0.0)
+
     def test_oracle_flag_adds_propagation(self, capsys):
         code, out, _ = run(
             capsys, "multi", "--omega0T", "21", "--xi", "0.002", "0.0016", "0.0012", "--oracle",

@@ -1,10 +1,11 @@
 """Three-direction measurements: one combined field versus three in a row."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from protspin import (
@@ -73,6 +74,21 @@ fields_strategy = st.tuples(*[
 ])
 
 
+def exact_azimuth(fields):
+    """Azimuth of sum_k xi_k sin(gamma_k) (cos(eta_k), sin(eta_k)), summed in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        hx = hy = Decimal(0)
+        for f in fields:
+            h = Decimal(f.xi) * Decimal(math.sin(f.gamma))
+            hx += h * Decimal(math.cos(f.eta))
+            hy += h * Decimal(math.sin(f.eta))
+        scale = max(abs(hx), abs(hy))
+        if scale == 0:
+            return 0.0
+        return math.atan2(float(hy / scale), float(hx / scale)) % (2.0 * math.pi)
+
+
 def numpy_combined(fields):
     """combined_field_geometry's (xi, gamma, eta) through numpy's vector algebra."""
     w = np.zeros(3)
@@ -82,11 +98,25 @@ def numpy_combined(fields):
     if xi == 0.0:
         return 0.0, 0.0, 0.0
     gamma, eta = direction_angles(w / xi)
+    if max(abs(w[0]), abs(w[1])) < 2.0 ** -969:
+        # the products in f.direction() and xi * n round to subnormal steps
+        eta = exact_azimuth(fields)
     return xi, gamma, eta
+
+
+def _fields(*specs):
+    return tuple(
+        FieldSpec(xi=xi, gamma=gamma, eta=eta, direction_index=k)
+        for k, (xi, gamma, eta) in enumerate(specs, start=1)
+    )
 
 
 class TestScalarGeometry:
     @given(fields=fields_strategy)
+    # a subnormal polar angle: the azimuth was 2e-11 and pi/4 off
+    @example(fields=_fields((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.375, 2.2250738585e-313, 1.0)))
+    @example(fields=_fields((1.0, 5e-324, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    @example(fields=_fields((0.0, 0.0, 0.0), (1.0, 2.2e-311, 1.0), (0.5, 1e-320, 2.5)))
     def test_combined_geometry_matches_numpy(self, fields):
         combined = combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
         xi, gamma, eta = numpy_combined(fields)
