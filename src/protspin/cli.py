@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -181,16 +182,21 @@ def _oracle_probability(geom: MeasurementGeometry, profile, steps) -> float:
     return abs(state.c_minus) ** 2
 
 
-# method -> (P_minus(geom, profile, steps), whether it needs --omega0T), in column order
+# method -> (P_minus(geom, profile, steps), whether it needs --omega0T,
+# whether it follows --profile), in column order.  The closed forms hold for
+# constant coupling only.
 _SWEEP_METHODS = {
-    "exact": (lambda geom, profile, steps: amplitude_exact(geom).probability_minus, True),
-    "envelope": (lambda geom, profile, steps: amplitude_envelope(geom).probability_minus, False),
-    "taylor": (lambda geom, profile, steps: probability_taylor(geom), False),
+    "exact": (lambda geom, profile, steps: amplitude_exact(geom).probability_minus, True, False),
+    "envelope": (
+        lambda geom, profile, steps: amplitude_envelope(geom).probability_minus, False, False,
+    ),
+    "taylor": (lambda geom, profile, steps: probability_taylor(geom), False, False),
     "first-order": (
         lambda geom, profile, steps: abs(first_order_amplitude(profile, geom).amplitude) ** 2,
         True,
+        True,
     ),
-    "oracle": (_oracle_probability, True),
+    "oracle": (_oracle_probability, True, True),
 }
 
 
@@ -208,6 +214,16 @@ def cmd_sweep(args) -> int:
     methods = _sweep_methods(args)
     grid = _axis_grid(args)
     profile = _parse_profile(args.profile)
+    if profile.kind is not ProfileKind.CONSTANT:
+        # a table mixes no profiles: 'all' keeps the methods that follow it
+        fixed = [m for m in methods if not _SWEEP_METHODS[m][2]]
+        if args.methods.strip() == "all":
+            methods = [m for m in methods if m not in fixed]
+        elif fixed:
+            raise ValueError(
+                f"method(s) {', '.join(fixed)} assume constant coupling and ignore "
+                f"--profile {args.profile}; use first-order or oracle"
+            )
 
     needs_omega = [m for m in methods if _SWEEP_METHODS[m][1]]
     if args.axis != "omega0T" and args.omega0T is None and needs_omega:
@@ -438,7 +454,14 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every main call.
+
+    Sharing is safe because nothing mutates it after it is built: parse_args
+    fills a fresh namespace, every default is immutable, and help text takes
+    the terminal width when it is formatted, not when the parser is built.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default=None,

@@ -113,7 +113,12 @@ class LabParameters:
         missing = [key for key in _CONFIG_KEYS.values() if key not in data]
         if missing:
             raise ValueError(f"missing required config field(s): {', '.join(missing)}")
-        values = {name: float(data[key]) for name, key in _CONFIG_KEYS.items()}
+        values = {}
+        for name, key in _CONFIG_KEYS.items():
+            try:
+                values[name] = float(data[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"config field {key} must be a number, got {data[key]!r}") from None
         values["gamma"] = math.radians(values["gamma"])
         return cls(**values)
 
@@ -154,24 +159,49 @@ class DesignReport:
         }
 
 
+# derived figure -> (its formula, the LabParameters fields it is computed from),
+# in the order derive_report checks them
+_FIGURES = {
+    "v": ("sqrt(2 kB t_oven / mass)", ("mass", "t_oven")),
+    "T": ("d / v", ("mass", "d", "t_oven")),
+    "omega0": ("2 mu b0 / hbar", ("mu", "b0")),
+    "omega0T": ("omega0 T", ("mu", "mass", "b0", "d", "t_oven")),
+    "xi": ("grad_b1 d / b0", ("b0", "grad_b1", "d")),
+    "delta_s": ("mu grad_b1 |cos(gamma)| d^2 / (4 kB t_oven)", ("mu", "grad_b1", "d", "t_oven")),
+}
+
+
 def derive_report(lab: LabParameters) -> DesignReport:
-    """Derived dimensionless parameters and disturbance/displacement figures."""
+    """Derived dimensionless parameters and disturbance/displacement figures.
+
+    Raises ValueError, naming the inputs, if a derived figure overflows.
+    """
     v = math.sqrt(2.0 * BOLTZMANN * lab.t_oven / lab.mass)
-    T = lab.d / v
+    T = lab.d / v if v else math.inf
     omega0 = 2.0 * lab.mu * lab.b0 / HBAR
+    try:
+        delta_s = (
+            lab.mu * lab.grad_b1 * abs(math.cos(lab.gamma)) * lab.d ** 2
+            / (4.0 * BOLTZMANN * lab.t_oven)
+        )
+    except ArithmeticError:  # d ** 2 overflows, or 4 kB t_oven underflows to 0
+        delta_s = math.inf
+    omega0T = omega0 * T
     xi = lab.grad_b1 * lab.d / lab.b0
-    geom = MeasurementGeometry(xi=xi, gamma=lab.gamma, eta=0.0, omega0T=omega0 * T)
+    for (name, (formula, inputs)), value in zip(
+        _FIGURES.items(), (v, T, omega0, omega0T, xi, delta_s)
+    ):
+        if not math.isfinite(value):
+            listing = ", ".join(f"{field}={getattr(lab, field)!r}" for field in inputs)
+            raise ValueError(f"{name} = {formula} overflows at {listing}")
+    geom = MeasurementGeometry(xi=xi, gamma=lab.gamma, eta=0.0, omega0T=omega0T)
     p_env = amplitude_envelope(geom).probability_minus
     p_taylor = probability_taylor(geom)
-    delta_s = (
-        lab.mu * lab.grad_b1 * abs(math.cos(lab.gamma)) * lab.d ** 2
-        / (4.0 * BOLTZMANN * lab.t_oven)
-    )
     return DesignReport(
         v=v,
         T=T,
         omega0=omega0,
-        omega0T=omega0 * T,
+        omega0T=omega0T,
         xi=xi,
         p_minus=p_env,
         p_minus_taylor=p_taylor,

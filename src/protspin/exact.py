@@ -61,6 +61,10 @@ _CANCELLATION_B_SQ = 2.0 ** -10
 def _b_ratio(geom: MeasurementGeometry) -> float:
     xi = geom.xi
     b_sq = 1.0 + xi * xi + 2.0 * xi * math.cos(geom.gamma)
+    if b_sq == math.inf:
+        # xi > 1.3e154.  b = xi sqrt(1 + (2 cos(gamma) + 1/xi)/xi), and the
+        # correction under the root is below 2^-510, so b rounds to xi itself.
+        return xi
     if b_sq < _CANCELLATION_B_SQ:
         if xi == 1.0 and geom.gamma == math.pi:
             # math.pi falls short of pi by 1.2e-16; the point is still degenerate
@@ -85,7 +89,13 @@ def _branch_weights(geom: MeasurementGeometry, b: float) -> tuple[float, float]:
     # b >= |1 + xi cos g| the denominator b + |...| never cancels.
     rim = _rim(geom, b)
     s = geom.xi * math.sin(geom.gamma)
-    small = s * s / (2.0 * b * (b + abs(rim)))
+    den = 2.0 * b * (b + abs(rim))
+    if den == math.inf:
+        # b > 6.7e153: the same ratio, sin^2(theta) / (2 (1 + |cos(theta)|))
+        sin_theta = s / b
+        small = sin_theta * sin_theta / (2.0 * (1.0 + abs(rim) / b))
+    else:
+        small = s * s / den
     if rim >= 0.0:
         return 1.0 - small, small
     return small, 1.0 - small
@@ -112,14 +122,26 @@ def tilted_field(geom: MeasurementGeometry) -> TiltedField:
     return TiltedField(b_ratio=b, cos_theta=cos_theta, sin_theta=sin_theta)
 
 
+def _phase(geom: MeasurementGeometry, b: float) -> float:
+    """The rotation angle (omega0T/2) b, which must be finite."""
+    phi = 0.5 * geom.omega0T * b
+    if phi == math.inf:
+        raise ValueError(
+            f"(omega0T/2)*b overflows at omega0T={geom.omega0T!r}, xi={geom.xi!r}"
+        )
+    return phi
+
+
 def amplitude_exact(geom: MeasurementGeometry) -> TransitionResult:
     """Exact spin-flip amplitude for a constant coupling profile.
 
     A_minus = i e^{i eta} (omega0T/2) xi sin(gamma) sinc((omega0T/2) b).
+    Raises ValueError where (omega0T/2) b overflows.
     """
     x = 0.5 * geom.omega0T
     b = _b_ratio(geom)
-    amp = 1j * cmath.exp(1j * geom.eta) * x * geom.xi * math.sin(geom.gamma) * sinc(x * b)
+    phi = _phase(geom, b)
+    amp = 1j * cmath.exp(1j * geom.eta) * x * geom.xi * math.sin(geom.gamma) * sinc(phi)
     prob = min(1.0, abs(amp) ** 2)
     return TransitionResult(amplitude_minus=amp, probability_minus=prob, method=Method.EXACT_SINC)
 
@@ -171,11 +193,11 @@ def survival_split(geom: MeasurementGeometry) -> tuple[complex, complex]:
 
         A_plus = (1+cos theta)/2 e^{+i phi} + (1-cos theta)/2 e^{-i phi},
 
-    with phi = (omega0T/2) b.
+    with phi = (omega0T/2) b.  Raises ValueError where phi overflows.
     """
     tf = tilted_field(geom)
     w_plus, w_minus = _branch_weights(geom, tf.b_ratio)
-    phi = 0.5 * geom.omega0T * tf.b_ratio
+    phi = _phase(geom, tf.b_ratio)
     phase = cmath.exp(1j * phi)
     return w_plus * phase, w_minus / phase
 
@@ -191,5 +213,8 @@ def reversal_probability(geom: MeasurementGeometry) -> tuple[float, float]:
     tf = tilted_field(geom)
     w_plus, w_minus = _branch_weights(geom, tf.b_ratio)
     exact = w_minus * w_minus / (w_plus * w_plus + w_minus * w_minus)
-    leading = (0.5 * geom.xi * math.sin(geom.gamma)) ** 4
+    half = 0.5 * geom.xi * math.sin(geom.gamma)
+    # float ** raises OverflowError instead of returning inf; half**4 is
+    # finite for every half below 2^256
+    leading = half ** 4 if half < 2.0 ** 256 else math.inf
     return exact, leading

@@ -65,9 +65,13 @@ FILES = {
     "lab_species.json": json.dumps({**LAB, "species": "rubidium"}),
     "lab_negative.json": json.dumps({**LAB, "d_meter": -0.1}),
     "lab_broken.json": "{\"b0_tesla\": ",
+    "lab_null.json": json.dumps({**LAB, "b0_tesla": None}),
+    "lab_list_value.json": json.dumps({**LAB, "d_meter": [0.1]}),
+    "lab_object_value.json": json.dumps({**LAB, "t_oven_kelvin": {"value": 500.0}}),
 }
 
 _SWEEP_XI = "sweep --axis xi --min 0.05 --max 0.3 --count 3 --gamma 90 --omega0T 20"
+_SWEEP_SHAPED = "sweep --axis omega0T --min 100 --max 1000 --count 2 --xi 0.01 --gamma 90"
 _MULTI = "multi --omega0T 21 --xi 0.002 0.0016 0.0012"
 
 # Invocations beyond those of bench/cli_cases.json.
@@ -128,6 +132,15 @@ CASES = [
     "sweep --axis xi --max 1 --gamma 90",
     "sweep --axis xi --min abc --max 1 --gamma 90",
     "sweep --axis xi --min 0 --max 1 --gamma 90 --seed 1",
+    # sweep: the closed forms hold for constant coupling only
+    f"{_SWEEP_SHAPED} --profile optimized --methods all",
+    f"{_SWEEP_SHAPED} --profile optimized",
+    f"{_SWEEP_SHAPED} --profile raised-cosine --methods exact,oracle",
+    f"{_SWEEP_SHAPED} --profile tabulated:triangle.txt --methods taylor,envelope,first-order",
+    # closed forms at field ratios whose square overflows
+    "sweep --axis xi --min 1e200 --max 1e300 --count 3 --gamma 60 --omega0T 1e-300 "
+    "--methods exact,envelope",
+    "sweep --axis xi --min 1e200 --max 1e300 --count 3 --gamma 60 --omega0T 1e10 --methods exact",
     # coupling
     "coupling shape --count 5",
     "coupling shape --count 5 --format json",
@@ -159,6 +172,9 @@ CASES = [
     "reversal --xi -0.2 --gamma 90",
     "reversal --xi 0.2 --gamma 190",
     "reversal --xi 1 --gamma 180 --omega0T 3",
+    "reversal --xi 1e100 --gamma 90",
+    "reversal --xi 1e300 --gamma 60 --omega0T 1e-300",
+    "reversal --xi 1e300 --gamma 60 --omega0T 1e10",
     # reconstruct
     *(f"reconstruct --gamma {gamma}" for gamma in ("0", "15", "30", "60", "90", "120", "180")),
     "reconstruct --gamma 30 --eta 50",
@@ -196,6 +212,13 @@ CASES = [
     "design --config lab_broken.json",
     "design --config absent.json",
     "design --preset potassium",
+    "design --config lab_null.json",
+    "design --config lab_list_value.json",
+    "design --config lab_object_value.json",
+    "design --b0 1e300",
+    "design --d 1e300",
+    "design --d 1e200",
+    "design --grad-b1 1e300",
     # verify
     "verify --cases 10",
     "verify --cases 10 --seed 7 --format csv",

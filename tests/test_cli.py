@@ -6,6 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +156,29 @@ class TestSweep:
         assert_one_line_error(code, out, err)
         assert err.startswith(f"error: {path}:3: ")
         assert "'abc'" in err
+
+    @pytest.mark.parametrize("methods", [None, "exact", "taylor,oracle", "first-order,envelope"])
+    @pytest.mark.parametrize("profile", ["raised-cosine", "optimized"])
+    def test_closed_forms_refuse_a_shaped_profile(self, capsys, methods, profile):
+        argv = ["sweep", "--axis", "omega0T", "--min", "100", "--max", "1000", "--count", "2",
+                "--xi", "0.01", "--gamma", "90", "--profile", profile]
+        if methods is not None:
+            argv += ["--methods", methods]
+        code, out, err = run(capsys, *argv)
+        assert_one_line_error(code, out, err)
+        fixed = [m for m in ("exact", "envelope", "taylor") if m in (methods or "envelope")]
+        assert err.startswith(f"error: method(s) {', '.join(fixed)} assume constant coupling")
+        assert f"--profile {profile};" in err
+
+    @pytest.mark.parametrize("profile", ["raised-cosine", "optimized"])
+    def test_all_follows_a_shaped_profile(self, capsys, profile):
+        argv = ("sweep", "--axis", "omega0T", "--min", "100", "--max", "1000", "--count", "2",
+                "--xi", "0.01", "--gamma", "90", "--profile", profile)
+        code, out, _ = run(capsys, *argv, "--methods", "all")
+        assert code == 0
+        _, explicit, _ = run(capsys, *argv, "--methods", "first-order,oracle")
+        assert out == explicit
+        assert parse_csv(out)[0] == ["omega0T", "p_minus_first_order", "p_minus_oracle"]
 
     def test_oracle_method_column(self, capsys):
         code, out, _ = run(
@@ -571,3 +597,47 @@ def test_golden_file_matches_its_cases():
 def test_output_is_frozen(tmp_path, case):
     """Exit code, stdout, stderr and written files match tests/data/cli_golden.json."""
     assert run_case(case["argv"], tmp_path) == case
+
+
+def _case(*argv):
+    return next(case for case in _GOLDEN if case["argv"] == list(argv))
+
+
+class TestSharedParser:
+    """main builds the parser once per process; no call may leave state for the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_golden_file_replays_twice_in_one_process(self, tmp_path):
+        shuffled = list(_GOLDEN)
+        random.Random(20151215).shuffle(shuffled)
+        for n, cases in enumerate((_GOLDEN, shuffled)):
+            for k, case in enumerate(cases):
+                directory = tmp_path / f"{n}-{k}"
+                directory.mkdir()
+                assert run_case(case["argv"], directory) == case, (n, case["argv"])
+
+    def test_errors_and_help_leave_no_state(self, tmp_path):
+        for k, argv in enumerate([
+            ["sweep", "--axis", "nope", "--min", "0", "--max", "1"],
+            ["--help"],
+            ["sweep", "--help"],
+            ["multi", "--omega0T", "5", "--xi", "0.1", "0.1"],
+        ]):
+            (tmp_path / f"first{k}").mkdir()
+            assert run_case(argv, tmp_path / f"first{k}")["exit"] in (0, 2)
+        case = _case("multi", "--omega0T", "21", "--xi", "0.002", "0.0016", "0.0012")
+        (tmp_path / "last").mkdir()
+        assert run_case(case["argv"], tmp_path / "last") == case
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=" ".join)
+    def test_help_reads_the_terminal_width_per_call(self, capsys, tmp_path, argv):
+        texts = {}
+        for columns in ("40", "120"):
+            with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+                assert main(argv) == 0
+            texts[columns] = capsys.readouterr().out
+        case = _case(*argv)
+        assert texts["40"] != case["stdout"] != texts["120"]
+        assert run_case(argv, tmp_path) == case

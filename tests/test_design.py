@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,19 @@ class TestLabParameters:
                     "gamma_deg": 90.0,
                 }
             )
+
+    @pytest.mark.parametrize("value", [None, [10.0], {"value": 10.0}, "ten"])
+    def test_from_config_names_a_non_numeric_field(self, value):
+        config = {
+            "species": "potassium",
+            "b0_tesla": value,
+            "grad_b1_tesla_per_meter": 20.0,
+            "d_meter": 0.1,
+            "t_oven_kelvin": 500.0,
+            "gamma_deg": 45.0,
+        }
+        with pytest.raises(ValueError, match="^config field b0_tesla must be a number, got "):
+            LabParameters.from_config(config)
 
     def test_from_config_rejects_unknown_species(self):
         with pytest.raises(ValueError):
@@ -136,6 +150,27 @@ class TestDeriveReport:
             "p_minus_taylor",
             "delta_s_meter",
         }
+
+
+    @pytest.mark.parametrize(
+        "overrides, figure, inputs",
+        [
+            ({"b0": 1e300}, "omega0", "mu=9.3e-24, b0=1e+300"),
+            ({"d": 1e300}, "omega0T", "d=1e+300"),
+            ({"d": 1e200}, "delta_s", "grad_b1=20.0, d=1e+200, t_oven=500.0"),
+            ({"t_oven": 1e-320}, "T", "t_oven=1e-320"),
+            ({"grad_b1": 1e308, "d": 1e10}, "xi", "b0=10.0, grad_b1=1e+308, d=10000000000.0"),
+        ],
+    )
+    def test_overflow_names_the_inputs(self, overrides, figure, inputs):
+        with pytest.raises(ValueError, match=f"^{figure} = .* overflows at .*{re.escape(inputs)}"):
+            derive_report(LabParameters.potassium(**overrides))
+
+    def test_huge_field_ratio_keeps_the_envelope(self):
+        rep = derive_report(LabParameters.potassium(grad_b1=1e300))
+        assert rep.xi == pytest.approx(1e298, rel=1e-15)
+        assert abs(rep.p_minus - 0.5) < 1e-15
+        assert rep.p_minus_taylor == math.inf
 
 
 class TestRequiredGradient:

@@ -293,3 +293,73 @@ class TestNearDegeneratePoint:
         assert tilted_field(MeasurementGeometry(xi=1.0, gamma=math.pi - 1e-12)).b_ratio > 0.0
         with pytest.raises(DegenerateFieldError):
             survival_split(MeasurementGeometry(xi=1.0, gamma=math.pi, omega0T=10.0))
+
+
+def _huge_xi_reference(geom):
+    """tilted_field, envelope, exact amplitude, survival branches and reversal in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xi, gamma = Decimal(geom.xi), Decimal(geom.gamma)
+        sin_g, cos_g = _decimal_sin(gamma), _decimal_cos(gamma)
+        b = (1 + xi * xi + 2 * xi * cos_g).sqrt()
+        rim = 1 + xi * cos_g
+        small = (xi * sin_g) ** 2 / (2 * b * (b + abs(rim)))
+        w_plus, w_minus = (1 - small, small) if rim >= 0 else (small, 1 - small)
+        x = Decimal(geom.omega0T) / 2
+        phi = x * b
+        cos_phi, sin_phi = _decimal_cos(phi), _decimal_sin(phi)
+        cos_eta, sin_eta = _decimal_cos(Decimal(geom.eta)), _decimal_sin(Decimal(geom.eta))
+        flip = x * xi * sin_g * sin_phi / phi
+        return {
+            "b_over_xi": float(b / xi),
+            "cos_theta": float(rim / b),
+            "sin_theta": float(xi * sin_g / b),
+            "envelope": float((xi * sin_g / b) ** 2),
+            "exact": complex(-flip * sin_eta, flip * cos_eta),
+            "correct": complex(w_plus * cos_phi, w_plus * sin_phi),
+            "reversed": complex(w_minus * cos_phi, -w_minus * sin_phi),
+            "reversal": float(w_minus**2 / (w_plus**2 + w_minus**2)),
+        }
+
+
+class TestHugeFieldRatio:
+    """Where xi^2 overflows, b = xi to rounding and every closed form stays finite."""
+
+    # 7e153 and 1.3e154 leave 1 + xi^2 + 2 xi cos(gamma) finite but overflow 2 b^2
+    XIS = [1e150, 7e153, 1.3e154, 1.4e154, 1e200, 1e250, 1e300]
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("xi", XIS)
+    def test_matches_decimal_reference(self, xi, gamma):
+        # omega0T ~ 1/xi keeps the phase (omega0T/2) b of order one
+        geom = MeasurementGeometry(xi=xi, gamma=gamma, eta=0.7, omega0T=3.0 / xi)
+        ref = _huge_xi_reference(geom)
+        tf = tilted_field(geom)
+        assert abs(tf.b_ratio / xi - ref["b_over_xi"]) < 1e-15
+        assert abs(tf.cos_theta - ref["cos_theta"]) < 1e-15
+        assert abs(tf.sin_theta - ref["sin_theta"]) < 1e-15
+        assert abs(amplitude_envelope(geom).probability_minus / ref["envelope"] - 1.0) < 1e-15
+        assert abs(amplitude_exact(geom).amplitude_minus - ref["exact"]) < 2e-15
+        correct, reversed_ = survival_split(geom)
+        assert abs(correct - ref["correct"]) < 2e-15
+        assert abs(reversed_ - ref["reversed"]) < 2e-15
+        assert abs(reversal_probability(geom)[0] / ref["reversal"] - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("xi", XIS)
+    def test_no_flip_without_time(self, xi):
+        geom = MeasurementGeometry(xi=xi, gamma=1.0)
+        assert amplitude_exact(geom).probability_minus == 0.0
+        correct, reversed_ = survival_split(geom)
+        assert abs(correct + reversed_ - 1.0) < 1e-15
+
+    def test_leading_order_reversal_overflows_to_inf(self):
+        _, leading = reversal_probability(MeasurementGeometry(xi=1e100, gamma=0.5 * math.pi))
+        assert leading == math.inf
+        _, leading = reversal_probability(MeasurementGeometry(xi=2.0**256, gamma=0.5 * math.pi))
+        assert leading == 2.0**1020
+
+    @pytest.mark.parametrize("call", [amplitude_exact, survival_split])
+    @pytest.mark.parametrize("xi, omega0T", [(1e300, 1e10), (3.0, 1.5e308)])
+    def test_overflowing_phase_is_refused(self, call, xi, omega0T):
+        with pytest.raises(ValueError, match=r"\(omega0T/2\)\*b overflows"):
+            call(MeasurementGeometry(xi=xi, gamma=1.0, omega0T=omega0T))
