@@ -147,7 +147,15 @@ def _gnuplot_stub(data_path: str, header: list[str]) -> str:
 
 
 def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag, "abs": abs(z)}
+    return {"re": z.real, "im": z.imag, "abs": _abs(z)}
+
+
+def _abs(z: complex, power: int = 1) -> float:
+    """abs(z) ** power, or inf past the float range (where abs and ** raise)."""
+    try:
+        return abs(z) ** power
+    except OverflowError:
+        return math.inf
 
 
 _PROFILE_NAMES = {
@@ -170,10 +178,13 @@ def _axis_grid(args) -> list[float]:
         raise ValueError(f"count must be >= 2, got {args.count}")
     if not (args.min < args.max):
         raise ValueError(f"need min < max, got {args.min} >= {args.max}")
+    if not math.isfinite(args.max - args.min):  # numpy would warn on stderr and return nan
+        raise ValueError(f"need a finite span from min to max, got {args.min} to {args.max}")
     if args.spacing == "log":
         if args.min <= 0.0:
             raise ValueError("log spacing requires min > 0")
-        return np.geomspace(args.min, args.max, args.count).tolist()
+        with np.errstate(over="ignore"):  # 10**log10(max) may overflow; the last point is max
+            return np.geomspace(args.min, args.max, args.count).tolist()
     return np.linspace(args.min, args.max, args.count).tolist()
 
 
@@ -192,9 +203,7 @@ _SWEEP_METHODS = {
     ),
     "taylor": (lambda geom, profile, steps: probability_taylor(geom), False, False),
     "first-order": (
-        lambda geom, profile, steps: abs(first_order_amplitude(profile, geom).amplitude) ** 2,
-        True,
-        True,
+        lambda geom, profile, steps: _abs(first_order_amplitude(profile, geom).amplitude, 2), True, True,
     ),
     "oracle": (_oracle_probability, True, True),
 }
@@ -303,7 +312,7 @@ def cmd_multi(args) -> int:
         "simultaneous": _complex_dict(sim),
         "successive": _complex_dict(succ),
         "term_magnitudes": term_magnitudes(config),
-        "absolute_difference": abs(sim - succ),
+        "absolute_difference": _abs(sim - succ),
     }
     if args.oracle:
         sim_state = propagate(simultaneous_schedule(config), SpinState.plus(), steps=args.steps)

@@ -214,7 +214,8 @@ def required_gradient(target_displacement: float, lab: LabParameters) -> float:
 
     Inverts the delta_s formula at the given beam parameters.  For gamma at
     or beyond 90 degrees the displacement along the gradient vanishes, so no
-    gradient works.
+    gradient works.  Raises ValueError, naming the inputs, where the
+    gradient is out of the float range.
     """
     if not (math.isfinite(target_displacement) and target_displacement > 0.0):
         raise ValueError(
@@ -227,7 +228,14 @@ def required_gradient(target_displacement: float, lab: LabParameters) -> float:
             f"no gradient yields a displacement at gamma = {lab.gamma!r} "
             "(cos(gamma) <= 0)"
         )
-    return 4.0 * BOLTZMANN * lab.t_oven * target_displacement / (lab.mu * cos_g * lab.d ** 2)
+    try:
+        gradient = 4.0 * BOLTZMANN * lab.t_oven * target_displacement / (lab.mu * cos_g * lab.d ** 2)
+    except ArithmeticError:  # mu cos(gamma) d^2 underflows to 0, or d ** 2 overflows
+        gradient = math.inf
+    if gradient == math.inf:
+        raise ValueError(f"required gradient is out of range at mu={lab.mu!r}, gamma={lab.gamma!r}, "
+                         f"d={lab.d!r}, t_oven={lab.t_oven!r}, target={target_displacement!r}")
+    return gradient
 
 
 def xi_budget(p_max: float, lab: LabParameters) -> float:

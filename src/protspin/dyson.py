@@ -75,7 +75,10 @@ def _envelope_bound(profile: CouplingProfile, geom: MeasurementGeometry) -> floa
 
 
 def first_order_amplitude(profile: CouplingProfile, geom: MeasurementGeometry) -> FirstOrderResult:
-    """Spin-flip amplitude to first order in xi for any coupling profile."""
+    """Spin-flip amplitude to first order in xi for any coupling profile.
+
+    Where (omega0T/2) xi overflows it is 0 if xi sin(gamma) = 0, else ValueError.
+    """
     x = 0.5 * geom.omega0T
     prefactor = (
         1j
@@ -86,6 +89,12 @@ def first_order_amplitude(profile: CouplingProfile, geom: MeasurementGeometry) -
         * math.sin(geom.gamma)
     )
     amp = prefactor * phased_integral(profile, geom.omega0T)
+    if not cmath.isfinite(amp):
+        # inf times a zero sin(gamma) is nan
+        if geom.xi * math.sin(geom.gamma):
+            raise ValueError(f"first-order amplitude overflows at xi={geom.xi!r}, "
+                             f"omega0T={geom.omega0T!r}")
+        amp = 0j
     return FirstOrderResult(
         amplitude=complex(amp),
         envelope_magnitude=_envelope_bound(profile, geom) + _SUBNORMAL_ALLOWANCE,
@@ -113,12 +122,20 @@ def envelope_closed_form(kind: ProfileKind, geom: MeasurementGeometry) -> float:
             f"closed-form envelope for {kind.value} requires omega0T >= 4*pi, "
             f"got {geom.omega0T!r}"
         )
-    x = 0.5 * geom.omega0T
     if kind is ProfileKind.RAISED_COSINE:
-        return base * math.pi ** 2 / x ** 2
-    if kind is ProfileKind.OPTIMIZED:
-        return base * 4.0 * math.pi ** 4 / x ** 4
-    raise ValueError(f"unsupported profile kind {kind!r}")
+        c, n = math.pi ** 2, 2
+    elif kind is ProfileKind.OPTIMIZED:
+        c, n = 4.0 * math.pi ** 4, 4
+    else:
+        raise ValueError(f"unsupported profile kind {kind!r}")
+    x = 0.5 * geom.omega0T
+    # float ** raises OverflowError instead of returning inf, and x**n is finite
+    # below 2^(1024/n).  Past that, or where base c overflows, the envelope
+    # (finite, as x >= 2 pi) is formed with the binary exponents split off.
+    if x < 2.0 ** (1024 // n) and base * c < math.inf:
+        return base * c / x ** n
+    (a, f), (m, e) = math.frexp(base), math.frexp(x)
+    return math.ldexp(a * c / m ** n, f - n * e)
 
 
 def reduction_ratio(kind: ProfileKind, omega0T: float) -> float:

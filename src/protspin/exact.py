@@ -14,7 +14,6 @@ small-xi limit, momentum-reversal weights) follows from that one solution.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,11 +22,6 @@ from .core import MeasurementGeometry, sinc
 
 class DegenerateFieldError(ValueError):
     """Total field vanishes (xi = 1, gamma = pi): the tilted basis is undefined."""
-
-
-class Method(enum.Enum):
-    EXACT_SINC = "exact-sinc"
-    ENVELOPE = "envelope"
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,6 @@ class TiltedField:
 class TransitionResult:
     amplitude_minus: complex
     probability_minus: float
-    method: Method
 
 
 # Where b^2 = 1 + xi^2 + 2 xi cos(gamma) falls below this, the sum has lost
@@ -61,9 +54,10 @@ _CANCELLATION_B_SQ = 2.0 ** -10
 def _b_ratio(geom: MeasurementGeometry) -> float:
     xi = geom.xi
     b_sq = 1.0 + xi * xi + 2.0 * xi * math.cos(geom.gamma)
-    if b_sq == math.inf:
-        # xi > 1.3e154.  b = xi sqrt(1 + (2 cos(gamma) + 1/xi)/xi), and the
-        # correction under the root is below 2^-510, so b rounds to xi itself.
+    if not b_sq < math.inf:
+        # xi > 1.3e154 (past 9e307, inf - inf makes b_sq nan near gamma = pi).
+        # b = xi sqrt(1 + (2 cos(gamma) + 1/xi)/xi), and the correction under
+        # the root is below 2^-510, so b rounds to xi itself.
         return xi
     if b_sq < _CANCELLATION_B_SQ:
         if xi == 1.0 and geom.gamma == math.pi:
@@ -143,7 +137,7 @@ def amplitude_exact(geom: MeasurementGeometry) -> TransitionResult:
     phi = _phase(geom, b)
     amp = 1j * cmath.exp(1j * geom.eta) * x * geom.xi * math.sin(geom.gamma) * sinc(phi)
     prob = min(1.0, abs(amp) ** 2)
-    return TransitionResult(amplitude_minus=amp, probability_minus=prob, method=Method.EXACT_SINC)
+    return TransitionResult(amplitude_minus=amp, probability_minus=prob)
 
 
 def amplitude_envelope(geom: MeasurementGeometry) -> TransitionResult:
@@ -163,7 +157,7 @@ def amplitude_envelope(geom: MeasurementGeometry) -> TransitionResult:
     if prob > 1.0:
         amp /= math.sqrt(prob)
         prob = 1.0
-    return TransitionResult(amplitude_minus=amp, probability_minus=prob, method=Method.ENVELOPE)
+    return TransitionResult(amplitude_minus=amp, probability_minus=prob)
 
 
 def probability_taylor(geom: MeasurementGeometry) -> float:

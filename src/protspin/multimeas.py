@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _unit_vector, sinc
 from .oracle import HamiltonianSchedule
@@ -33,14 +33,14 @@ class MultiFieldConfig:
     """Three measurement fields sharing one omega0T window each.
 
     Directions must be mutually orthogonal unit vectors unless relaxed=True,
-    in which case the orthogonal flag records the failed check instead of
-    raising.
+    in which case the orthogonal flag (set by the check, not passed in)
+    records the failed check instead of raising.
     """
 
     fields: tuple[FieldSpec, FieldSpec, FieldSpec]
     omega0T: float
     relaxed: bool = False
-    orthogonal: bool = True
+    orthogonal: bool = field(init=False, default=True)
 
     def __post_init__(self):
         fields = tuple(self.fields)
@@ -78,10 +78,12 @@ class MultiFieldConfig:
 
 def _term_coefficients(config: MultiFieldConfig) -> list[complex]:
     x = 0.5 * config.omega0T
-    return [
-        x * f.xi * math.sin(f.gamma) * cmath.exp(1j * f.eta)
-        for f in config.fields
-    ]
+    terms = []
+    for f in config.fields:
+        term = x * f.xi * math.sin(f.gamma) * cmath.exp(1j * f.eta)
+        # where x xi overflows, inf times a zero sin(gamma) is nan; the term is 0
+        terms.append(term if cmath.isfinite(term) or f.xi * math.sin(f.gamma) else 0j)
+    return terms
 
 
 def simultaneous_amplitude(config: MultiFieldConfig) -> complex:
@@ -90,7 +92,7 @@ def simultaneous_amplitude(config: MultiFieldConfig) -> complex:
     i * (sum_k (omega0T/2) xi_k sin(gamma_k) e^{i eta_k}) * sinc(omega0T/2).
     """
     x = 0.5 * config.omega0T
-    return 1j * sum(_term_coefficients(config)) * sinc(x)
+    return _finite(1j * sum(_term_coefficients(config)) * sinc(x), config)
 
 
 def successive_amplitude(config: MultiFieldConfig) -> complex:
@@ -103,7 +105,15 @@ def successive_amplitude(config: MultiFieldConfig) -> complex:
     total = 0j
     for k, coeff in enumerate(_term_coefficients(config), start=1):
         total += coeff * cmath.exp(1j * (k - 2) * config.omega0T)
-    return 1j * total * sinc(x)
+    return _finite(1j * total * sinc(x), config)
+
+
+def _finite(amplitude: complex, config: MultiFieldConfig) -> complex:
+    """The amplitude, or ValueError where a term or their sum overflowed."""
+    if not cmath.isfinite(amplitude):
+        xis = ", ".join(repr(f.xi) for f in config.fields)
+        raise ValueError(f"amplitude overflows at xi=({xis}), omega0T={config.omega0T!r}")
+    return amplitude
 
 
 def term_magnitudes(config: MultiFieldConfig) -> list[float]:

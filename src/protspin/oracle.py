@@ -53,7 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingProfile, MeasurementGeometry, ProfileKind, coupling_eval, coupling_grid
+from .core import (
+    _SINC_SERIES, CouplingProfile, MeasurementGeometry, ProfileKind, coupling_eval, coupling_grid,
+)
 from .dyson import first_order_amplitude
 from .exact import amplitude_exact, survival_split
 
@@ -68,13 +70,12 @@ _CHUNK = 2 ** 14
 # sqrt(3)/6: the distance of the two Gauss-Legendre nodes from the step
 # midpoint, in steps, and the weight of the Magnus commutator term.
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-# Taylor coefficients of cos(x) and sin(x)/x in p = x^2.  With n terms the
-# first omitted term is below 2**-64, far under an ulp of the sums (which
-# lie near 1), for every p below _SERIES_REACH[n - 1]; seven terms reach
-# past p = 1/16.
+# Taylor coefficients of cos(x) in p = x^2; those of sin(x)/x are core's
+# _SINC_SERIES.  With n terms the first omitted term is below 2**-64, far
+# under an ulp of the sums (which lie near 1), for every p below
+# _SERIES_REACH[n - 1]; seven terms reach past p = 1/16.
 _SERIES_MAX_P = 1.0 / 16.0
 _COS_SERIES = tuple((-1) ** k / math.factorial(2 * k) for k in range(7))
-_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
 _SERIES_REACH = tuple((math.factorial(2 * n) * 2.0 ** -64) ** (1.0 / n) for n in range(1, 8))
 
 
@@ -226,9 +227,7 @@ def _cos_sinc_series(p: np.ndarray, p_max: float) -> tuple[np.ndarray, np.ndarra
     return cos, sinc
 
 
-def _steps(
-    seg: Segment, grid: tuple, start: int, stop: int, reverse: bool, order: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pairs of steps start..stop-1 of the segment's grid.
 
     Step j is exp(+i c_j.sigma).  With half = (omega0T/2) times the step
@@ -238,8 +237,7 @@ def _steps(
     and g2 the couplings at the Gauss points and gbar their mean; on su(2)
     its commutator term is this cross product.  A constant profile makes
     the two rules equal, so it takes the one-point form.  Then alpha =
-    cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.  reverse
-    gives the inverse steps in reversed order.
+    cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.
 
     On a uniform grid a built-in profile's couplings come from
     core.coupling_grid, which calls no cosine per step; other grids and
@@ -292,16 +290,12 @@ def _steps(
         cos = np.cos(phi)
         # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
         t = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
-    if reverse:
-        t = -t
     alpha = np.empty(stop - start, dtype=complex)
     beta = np.empty(stop - start, dtype=complex)
     alpha.real = cos
     alpha.imag = cz * t
     beta.real = cy * t
     beta.imag = cx * t
-    if reverse:
-        return alpha[::-1], beta[::-1]
     return alpha, beta
 
 
@@ -339,26 +333,22 @@ def _refine(grids: list[tuple]) -> list[tuple]:
     return [(edges, 2 * counts) for edges, counts in grids]
 
 
-def _run(
-    schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], reverse: bool, order: int,
-) -> np.ndarray:
+def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], order: int) -> np.ndarray:
     """Apply steps of the given order on grids[k] to segment k of the schedule, to psi."""
     # Each chunk of at most _CHUNK steps reduces to one factor; the chunk
     # factors then reduce through the same kernel, in the order applied.
     factors = []
-    indices = range(len(schedule.segments))
-    for k in reversed(indices) if reverse else indices:
-        seg, (edges, counts) = schedule.segments[k], grids[k]
+    for seg, grid in zip(schedule.segments, grids):
+        edges, counts = grid
         total = counts if edges is None else int(counts.sum())
-        starts = range(0, total, _CHUNK)
-        for start in reversed(starts) if reverse else starts:
+        for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
-            factors.append(_compose(*_steps(seg, grids[k], start, stop, reverse, order)))
+            factors.append(_compose(*_steps(seg, grid, start, stop, order)))
     a, b = _compose(*(np.array(column) for column in zip(*factors)))
     return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
 
 
-def _run_static(schedule: HamiltonianSchedule, psi0: SpinState, reverse: bool) -> SpinState:
+def _run_static(schedule: HamiltonianSchedule, psi0: SpinState) -> SpinState:
     """One exact step per segment of an all-constant schedule, in scalar arithmetic.
 
     The same step as _run on grids [(None, 1)] * len(segments): on a
@@ -369,8 +359,7 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState, reverse: bool) -
     this path builds no array.
     """
     a, b = 1.0 + 0.0j, 0.0j
-    segments = schedule.segments
-    for seg in reversed(segments) if reverse else segments:
+    for seg in schedule.segments:
         geom = seg.geom
         half = 0.5 * geom.omega0T
         sin_g = math.sin(geom.gamma)
@@ -379,8 +368,6 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState, reverse: bool) -
         cz = half * (1.0 + geom.xi * math.cos(geom.gamma))
         phi = math.sqrt(cx * cx + cy * cy + cz * cz)
         t = math.sin(phi) / (phi if phi > 0.0 else 1.0)
-        if reverse:
-            t = -t
         step_a = complex(math.cos(phi), cz * t)
         step_b = complex(cy * t, cx * t)
         a, b = step_a * a - step_b * b.conjugate(), step_a * b + step_b * a.conjugate()
@@ -392,31 +379,24 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState, reverse: bool) -
 
 
 def _propagate_adaptive(
-    schedule: HamiltonianSchedule, psi: np.ndarray, reverse: bool,
-    max_steps: int, order: int,
+    schedule: HamiltonianSchedule, psi: np.ndarray, order: int,
 ) -> tuple[np.ndarray, int]:
     steps = START_STEPS[order]
     grids = _grids(schedule, steps)
-    previous = _run(schedule, psi, grids, reverse, order)
-    while steps < max_steps:
+    previous = _run(schedule, psi, grids, order)
+    while steps < MAX_ADAPTIVE_STEPS:
         steps *= 2
         grids = _refine(grids)
-        current = _run(schedule, psi, grids, reverse, order)
+        current = _run(schedule, psi, grids, order)
         if np.max(np.abs(current - previous)) < ADAPTIVE_TOLERANCE:
             return current, steps
         previous = current
     raise ConvergenceError(
-        f"no convergence to {ADAPTIVE_TOLERANCE} within {max_steps} steps"
+        f"no convergence to {ADAPTIVE_TOLERANCE} within {MAX_ADAPTIVE_STEPS} steps"
     )
 
 
-def propagate(
-    schedule: HamiltonianSchedule,
-    psi0: SpinState,
-    steps: int | None = None,
-    reverse: bool = False,
-    max_steps: int = MAX_ADAPTIVE_STEPS,
-) -> SpinState:
+def propagate(schedule: HamiltonianSchedule, psi0: SpinState, steps: int | None = None) -> SpinState:
     """Propagate psi0 through the schedule.
 
     Parameters
@@ -433,13 +413,8 @@ def propagate(
         arithmetic; so does a fixed count that gives each such segment one
         step.  Otherwise the step count doubles from 2**8, halving every
         step, until two successive refinements agree within 1e-10, capped at
-        max_steps.  The error of the returned state is then about that last
-        difference over 15.
-    reverse : bool
-        Apply the exact inverse evolution (negated Hamiltonian, reversed
-        time order).
-    max_steps : int
-        Adaptive-doubling cap; exceeded means ConvergenceError.
+        MAX_ADAPTIVE_STEPS (ConvergenceError beyond it).  The error of the
+        returned state is then about that last difference over 15.
 
     Returns
     -------
@@ -454,12 +429,12 @@ def propagate(
     if all(seg.profile.kind is ProfileKind.CONSTANT for seg in schedule.segments) and (
         steps is None or all(counts == 1 for _, counts in grids)
     ):
-        return _run_static(schedule, psi0, reverse)
+        return _run_static(schedule, psi0)
     psi = psi0.as_array()
     if steps is not None:
-        final = _run(schedule, psi, grids, reverse, 4)
+        final = _run(schedule, psi, grids, 4)
     else:
-        final, _ = _propagate_adaptive(schedule, psi, reverse, max_steps, 4)
+        final, _ = _propagate_adaptive(schedule, psi, 4)
     return SpinState(complex(final[0]), complex(final[1]))
 
 
@@ -498,7 +473,7 @@ def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> Crosschec
     """
     schedule = HamiltonianSchedule.single(geom, profile)
     psi = SpinState.plus().as_array()
-    final, steps_used = _propagate_adaptive(schedule, psi, False, MAX_ADAPTIVE_STEPS, 2)
+    final, steps_used = _propagate_adaptive(schedule, psi, 2)
     c_plus, c_minus = complex(final[0]), complex(final[1])
 
     exact_dev = None
@@ -518,7 +493,7 @@ def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> Crosschec
         grids = _grids(schedule, 2 ** 10)
         coarse = []
         for _ in range(3):
-            coarse.append(_run(schedule, psi, grids, False, 2))
+            coarse.append(_run(schedule, psi, grids, 2))
             grids = _refine(grids)
         d1 = float(np.max(np.abs(coarse[0] - coarse[1])))
         d2 = float(np.max(np.abs(coarse[1] - coarse[2])))

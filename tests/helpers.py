@@ -29,13 +29,13 @@ def simpson_phased_integral(profile, omega0T, n=2**16):
     return complex(np.sum(w * f) * h / 3.0)
 
 
-def propagate_midpoint(schedule, psi0, steps, reverse=False):
+def propagate_midpoint(schedule, psi0, steps):
     """propagate with fixed exponential midpoint steps instead of Magnus steps.
 
     The second-order rule is private to the oracle, where crosscheck runs
     it; the tests pin it and check the Magnus steps against it.
     """
-    psi = oracle._run(schedule, psi0.as_array(), oracle._grids(schedule, steps), reverse, 2)
+    psi = oracle._run(schedule, psi0.as_array(), oracle._grids(schedule, steps), 2)
     return SpinState(complex(psi[0]), complex(psi[1]))
 
 

@@ -226,6 +226,21 @@ CASES = [
     "verify --cases 10 --exact-tol 1e-30",
     "verify --cases 10 --first-order-tol 1e-30 --format csv",
     "verify --cases 0",
+    # floats at the edges of the double range: each once ended in a traceback,
+    # a NaN or a numpy warning on stderr
+    "coupling ratio --min 4000 --max 1e200 --count 2",
+    "coupling ratio --max 1.7976931348623157e308",
+    "sweep --axis omega0T --min 13 --max 20 --count 2 --xi 1e200 --gamma 90 --methods first-order",
+    "sweep --axis xi --min 5e-324 --max 1e300 --count 3 --spacing log --gamma -0 --omega0T 1.7e308"
+    " --profile optimized --methods first-order",
+    "sweep --axis xi --min 5e-324 --max 1e300 --count 3 --spacing log --gamma 3 --omega0T 1.7e308"
+    " --profile optimized --methods first-order",
+    "sweep --axis xi --min 0 --max inf --count 2 --gamma 90",
+    "design --mu 1e-310 --d 1e-10 --target-displacement 1e-3",
+    "reversal --xi 1.7e308 --gamma 180",
+    "multi --omega0T 3.595386269724632e228 --xi 0 0 1e80",
+    "multi --omega0T 1.7e308 --xi 1 2 1e200",
+    "multi --omega0T 2 --xi 1.7e308 1.7e308 0",
 ]
 
 

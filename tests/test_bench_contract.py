@@ -1,0 +1,53 @@
+"""The benchmark's jobs run against this checkout, each once, in tier-1.
+
+bench/workloads.py is imported as it stands (no bytecode is written under
+bench/).  For every workload BENCHMARK.json declares, at seed 1: the inputs
+are built in a temporary directory, the references computed, every job of
+the seeded list run once, and then a corrupted reference must make job 0
+fail its check.  A change to the library's API or output that would fail
+the benchmark's jobs fails here first.
+"""
+
+import collections
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import protspin
+import protspin.cli  # noqa: F401  (closed-forms calls protspin.cli.main)
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+SEED = 1
+NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(BENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
+
+
+def call(span, fn, *args, **kwargs):
+    return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_job_passes_and_a_corrupt_reference_fails(workloads, name, tmp_path):
+    workload = workloads.WORKLOADS[name](protspin, SEED, tmp_path)
+    workload.prepare()
+    stats = collections.Counter()
+    for i in range(workload.size):
+        workload.run_job(i, call, stats)
+    workload.corrupt()
+    with pytest.raises(workloads.CheckFailed):
+        workload.run_job(0, call, stats)

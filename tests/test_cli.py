@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -8,10 +9,13 @@ import json
 import math
 import os
 import random
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protspin.cli
 from make_cli_golden import BENCH_CASES, GOLDEN, all_argv, run_case
@@ -641,3 +645,108 @@ class TestSharedParser:
         case = _case(*argv)
         assert texts["40"] != case["stdout"] != texts["120"]
         assert run_case(argv, tmp_path) == case
+
+
+# Floats at the edges of the double range, where overflow, underflow and
+# cancellation have broken the CLI before, and a few ordinary values.
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e-3, 0.5, 1.0, 2.0, 13.0, 90.0, 180.0, 4000.0,
+    1e80, 1e154, 1e200, 1e300, 1.7e308, -1.0, -90.0, -1e300, math.inf, -math.inf, math.nan,
+)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+def _number(x):
+    """x as one argv word that argparse reads as a value, never as an option."""
+    if x < 0.0 or math.copysign(1.0, x) < 0.0:
+        # a negative value must match argparse's plain-decimal pattern
+        return format(Decimal(x), "f") if math.isfinite(x) else None
+    return repr(x)
+
+
+@st.composite
+def _options(draw, **specs):
+    """'--name=value' words for a random subset of the options in specs."""
+    words = []
+    for name, (strategy, required) in specs.items():
+        if required or draw(st.booleans()):
+            words.append(f"--{name}={draw(strategy)}")
+    return words
+
+
+@st.composite
+def _triple(draw, name):
+    values = draw(st.lists(_floats.map(_number).filter(bool), min_size=3, max_size=3))
+    return [f"--{name}", *values]
+
+
+_formats = st.sampled_from(["csv", "json"])
+_counts = st.sampled_from([2, 3, 5])
+
+_COMMANDS = {
+    "sweep": st.tuples(
+        _options(
+            axis=(st.sampled_from(["xi", "gamma", "omega0T"]), True),
+            min=(_floats, True),
+            max=(_floats, True),
+            count=(_counts, True),
+            spacing=(st.sampled_from(["linear", "log"]), False),
+            xi=(_floats, False),
+            gamma=(_floats, False),
+            eta=(_floats, False),
+            omega0T=(_floats, False),
+            methods=(
+                st.sets(st.sampled_from(["exact", "envelope", "taylor", "first-order"]), min_size=1)
+                .map(",".join),
+                False,
+            ),
+            profile=(st.sampled_from(["constant", "raised-cosine", "optimized"]), False),
+        ),
+    ),
+    "reversal": st.tuples(
+        _options(xi=(_floats, True), gamma=(_floats, True), eta=(_floats, False), omega0T=(_floats, False)),
+    ),
+    "reconstruct": st.one_of(
+        st.tuples(_options(gamma=(_floats, True), eta=(_floats, False))),
+        st.tuples(_triple("expectations")),
+    ),
+    "design": st.tuples(
+        _options(**{
+            name: (_floats, False)
+            for name in ("mu", "mass", "b0", "grad-b1", "d", "t-oven", "gamma",
+                         "target-displacement", "p-max")
+        }),
+    ),
+    "multi": st.tuples(
+        _options(omega0T=(_floats, True)),
+        _triple("xi"),
+        st.one_of(st.just([]), _triple("gamma")),
+        st.one_of(st.just([]), _triple("eta")),
+        st.sampled_from([[], ["--relaxed"]]),
+    ),
+    "coupling": st.tuples(
+        st.just(["ratio"]),
+        _options(min=(_floats, False), max=(_floats, False), count=(_counts, False),
+                 spacing=(st.sampled_from(["linear", "log"]), False)),
+    ),
+}
+
+
+@given(st.one_of(*(st.tuples(st.just(command), _formats, parts) for command, parts in _COMMANDS.items())))
+@settings(deadline=1000)
+def test_exit_code_contract(argv):
+    """Any input ends in exit 0, 2 or 3 with at most one 'error:' line, never a NaN.
+
+    The closed-form commands only (no oracle run), in process, with the
+    floats at the edges of the double range.
+    """
+    command, fmt, parts = argv
+    words = [command, f"--format={fmt}", *(word for part in parts for word in part)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(words)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (words, err)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (words, err)
+    if code == 0:
+        assert "nan" not in out.lower(), (words, out)

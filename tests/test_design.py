@@ -1,5 +1,6 @@
 """SI-unit bridge from beam-line parameters to the dimensionless model."""
 
+import dataclasses
 import json
 import math
 import re
@@ -190,6 +191,12 @@ class TestRequiredGradient:
     def test_transverse_angle_has_no_solution(self):
         with pytest.raises(ValueError):
             required_gradient(1e-4, LabParameters.potassium(gamma=math.pi / 2))
+
+    def test_underflowing_denominator_is_refused(self):
+        # mu cos(gamma) d^2 rounds to 0
+        lab = dataclasses.replace(LabParameters.potassium(d=1e-10), mu=1e-310)
+        with pytest.raises(ValueError, match=r"mu=1e-310, gamma=0.785\d+, d=1e-10"):
+            required_gradient(1e-3, lab)
 
     def test_target_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """First-order perturbative amplitudes, envelopes, and reduction ratios."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -118,6 +119,22 @@ class TestFirstOrderAmplitude:
         assert 5.0 < scaled[0] / scaled[1] < 20.0
 
 
+class TestOverflowingAmplitude:
+    """Where (omega0T/2) xi overflows, the amplitude is 0 or refused, never NaN."""
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.0])
+    @pytest.mark.parametrize("profile", BUILTINS, ids=lambda p: p.kind.value)
+    def test_zero_where_the_field_is_axial(self, profile, gamma):
+        geom = MeasurementGeometry(xi=1e300, gamma=gamma, omega0T=1.7e308)
+        assert first_order_amplitude(profile, geom).amplitude == 0.0
+
+    @pytest.mark.parametrize("profile", BUILTINS, ids=lambda p: p.kind.value)
+    def test_refused_elsewhere(self, profile):
+        geom = MeasurementGeometry(xi=1e300, gamma=3.0, omega0T=1.7e308)
+        with pytest.raises(ValueError, match=r"xi=1e\+300, omega0T=1.7e\+308"):
+            first_order_amplitude(profile, geom)
+
+
 class TestEnvelopeClosedForm:
     def test_constant(self):
         geom = MeasurementGeometry(xi=0.1, gamma=math.pi / 2, omega0T=100.0)
@@ -143,6 +160,22 @@ class TestEnvelopeClosedForm:
         geom = MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=100.0)
         with pytest.raises(ValueError):
             envelope_closed_form(ProfileKind.TABULATED, geom)
+
+    @pytest.mark.parametrize(
+        "xi, omega0T",
+        [(1e300, 2e80), (1.0, 2.0**257), (1e308, 2e100), (1e308, 13.0), (1.7e308, 8e154), (1.0, 1e200)],
+    )
+    def test_past_the_power_overflow(self, xi, omega0T):
+        # x**4 overflows past x = 2^256, x**2 past 2^512, xi 4 pi^4 past 4.6e305
+        geom = MeasurementGeometry(xi=xi, gamma=math.pi / 2, omega0T=omega0T)
+        x = Decimal(omega0T) / 2
+        base = Decimal(xi) * Decimal(math.sin(geom.gamma))
+        for kind, ref in [
+            (ProfileKind.RAISED_COSINE, base * Decimal(math.pi) ** 2 / x**2),
+            (ProfileKind.OPTIMIZED, 4 * base * Decimal(math.pi) ** 4 / x**4),
+        ]:
+            value = envelope_closed_form(kind, geom)
+            assert abs(Decimal(value) - ref) <= Decimal(1e-15) * ref + Decimal(5e-324), kind
 
     @pytest.mark.parametrize("kind", [ProfileKind.RAISED_COSINE, ProfileKind.OPTIMIZED])
     def test_smooth_kinds_refuse_small_budgets(self, kind):

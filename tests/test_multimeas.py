@@ -1,5 +1,6 @@
 """Three-direction measurements: one combined field versus three in a row."""
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 
@@ -94,9 +95,11 @@ def numpy_combined(fields):
     w = np.zeros(3)
     for f in fields:
         w += f.xi * f.direction()
-    xi = float(np.linalg.norm(w))
-    if xi == 0.0:
+    scale = float(np.max(np.abs(w)))
+    if scale == 0.0:
         return 0.0, 0.0, 0.0
+    # scaled, so that the squares of a field near 1e-160 do not underflow
+    xi = scale * float(np.linalg.norm(w / scale))
     gamma, eta = direction_angles(w / xi)
     if max(abs(w[0]), abs(w[1])) < 2.0 ** -969:
         # the products in f.direction() and xi * n round to subnormal steps
@@ -117,6 +120,8 @@ class TestScalarGeometry:
     @example(fields=_fields((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.375, 2.2250738585e-313, 1.0)))
     @example(fields=_fields((1.0, 5e-324, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     @example(fields=_fields((0.0, 0.0, 0.0), (1.0, 2.2e-311, 1.0), (0.5, 1e-320, 2.5)))
+    # opposite z fields leave x = 1e-150 sin(pi); its square underflows
+    @example(fields=_fields((1e-150, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-150, math.pi, 0.0)))
     def test_combined_geometry_matches_numpy(self, fields):
         combined = combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
         xi, gamma, eta = numpy_combined(fields)
@@ -199,6 +204,28 @@ class TestSimultaneousAmplitude:
         combined = combined_field_geometry(config)
         expected = first_order_amplitude(CouplingProfile.constant(), combined).amplitude
         assert abs(simultaneous_amplitude(config) - expected) < 1e-15
+
+
+class TestOverflowingTerms:
+    def test_axial_field_term_is_zero(self):
+        # (omega0T/2) xi overflows on the z field, whose sin(gamma) is 0
+        config = axes_config(xi1=0.0, xi2=0.0, xi3=1e80, omega0T=3.6e228)
+        assert term_magnitudes(config) == [0.0, 0.0, 0.0]
+        assert simultaneous_amplitude(config) == 0.0
+        assert successive_amplitude(config) == 0.0
+
+    def test_overflowing_term_is_refused(self):
+        config = axes_config(xi1=1e200, xi2=0.0, xi3=0.0, omega0T=1.7e308)
+        for amplitude in (simultaneous_amplitude, successive_amplitude):
+            with pytest.raises(ValueError, match=r"amplitude overflows at xi=\(1e\+200, 0.0, 0.0\)"):
+                amplitude(config)
+
+    def test_overflowing_sum_is_refused(self):
+        # finite terms near 1e308 whose phased sum overflows
+        config = axes_config(xi1=1.0, xi2=2.0, xi3=1e200, omega0T=1.7e308)
+        assert cmath.isfinite(simultaneous_amplitude(config))
+        with pytest.raises(ValueError, match=r"amplitude overflows at xi=\(1.0, 2.0, 1e\+200\)"):
+            successive_amplitude(config)
 
 
 class TestSuccessiveAmplitude:

@@ -31,6 +31,22 @@ from protspin import (
 from protspin.core import coupling_grid
 from helpers import propagate_midpoint, random_geometries, richardson_minus
 
+# A normalized state other than |+> or |->.
+MIXED_STATE = SpinState(0.6 + 0.0j, 0.48 + 0.64j)
+
+
+def apply_adjoint(column, state):
+    """U^dagger state, for the SU(2) matrix U whose first column is column = U|+>.
+
+    U = [[a, b], [-conj(b), conj(a)]], so a = column.c_plus and
+    b = -conj(column.c_minus); U^dagger is the inverse evolution.
+    """
+    a, b = column.c_plus, -column.c_minus.conjugate()
+    return SpinState(
+        a.conjugate() * state.c_plus - b * state.c_minus, b.conjugate() * state.c_plus + a * state.c_minus,
+    )
+
+
 geometries = st.builds(
     MeasurementGeometry,
     xi=st.floats(min_value=0.0, max_value=2.0),
@@ -117,11 +133,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(HamiltonianSchedule.single(geom, CouplingProfile.constant()), SpinState.plus(), steps=0)
 
-    def test_raises_when_budget_needs_more_steps_than_allowed(self):
+    def test_raises_when_budget_needs_more_steps_than_allowed(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ADAPTIVE_STEPS", 2**15)
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=1e4)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
         with pytest.raises(ConvergenceError):
-            propagate(sched, SpinState.plus(), max_steps=2**15)
+            propagate(sched, SpinState.plus())
 
     @given(geometries)
     @settings(max_examples=25, deadline=None)
@@ -133,10 +150,10 @@ class TestPropagate:
     def test_time_reversal_returns_initial_state(self):
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=50.0)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.optimized())
-        fwd = propagate(sched, SpinState.plus(), steps=2**12)
-        back = propagate(sched, fwd, steps=2**12, reverse=True)
-        assert abs(back.c_plus - 1.0) < 1e-10
-        assert abs(back.c_minus) < 1e-10
+        fwd = propagate(sched, MIXED_STATE, steps=2**12)
+        back = apply_adjoint(propagate(sched, SpinState.plus(), steps=2**12), fwd)
+        assert abs(back.c_plus - MIXED_STATE.c_plus) < 1e-10
+        assert abs(back.c_minus - MIXED_STATE.c_minus) < 1e-10
 
     def test_second_order_convergence(self):
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=200.0)
@@ -409,7 +426,7 @@ class TestKernel:
         monkeypatch.setattr(np, "cos", counted(np.cos))
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=50.0)
         seg = Segment(1.0, geom, profile)
-        alpha, _ = oracle._steps(seg, (None, 2**16), 2**14, 2**15, False, order)
+        alpha, _ = oracle._steps(seg, (None, 2**16), 2**14, 2**15, order)
         assert alpha.size == 2**14
         assert sizes and max(sizes) <= 256
 
@@ -431,12 +448,13 @@ class TestKernel:
         geom = MeasurementGeometry(xi=0.5, gamma=1.0, eta=0.3, omega0T=50.0)
         sched = HamiltonianSchedule.single(geom, CouplingProfile.optimized())
         for run in (propagate, propagate_midpoint):
-            fwd = run(sched, SpinState.plus(), steps=2**18)
-            back = run(sched, fwd, steps=2**18, reverse=True)
+            column = run(sched, SpinState.plus(), steps=2**18)
+            fwd = run(sched, MIXED_STATE, steps=2**18)
+            back = apply_adjoint(column, fwd)
+            assert abs(column.norm() - 1.0) < 1e-14
             assert abs(fwd.norm() - 1.0) < 1e-14
-            assert abs(back.norm() - 1.0) < 1e-14
-            assert abs(back.c_plus - 1.0) < 1e-12
-            assert abs(back.c_minus) < 1e-12
+            assert abs(back.c_plus - MIXED_STATE.c_plus) < 1e-12
+            assert abs(back.c_minus - MIXED_STATE.c_minus) < 1e-12
 
 
 class TestStaticFastPath:
@@ -445,10 +463,10 @@ class TestStaticFastPath:
     def test_matches_composed_exact_propagators(self, make_schedule, omega0T):
         sched = make_schedule(three_field_config(omega0T))
         exact = exact_schedule_unitary(sched)
-        fwd = propagate(sched, SpinState.plus()).as_array()
-        back = propagate(sched, SpinState.plus(), reverse=True).as_array()
-        assert np.max(np.abs(fwd - exact[:, 0])) < 1e-12
-        assert np.max(np.abs(back - np.conjugate(exact[0, :]))) < 1e-12
+        plus = propagate(sched, SpinState.plus()).as_array()
+        minus = propagate(sched, SpinState.minus()).as_array()
+        assert np.max(np.abs(plus - exact[:, 0])) < 1e-12
+        assert np.max(np.abs(minus - exact[:, 1])) < 1e-12
 
     def test_takes_one_step_per_segment(self):
         sched = successive_schedule(three_field_config(21.0))
@@ -474,24 +492,22 @@ class TestStaticFastPath:
             simultaneous_schedule(config),
         )
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_scalar_step_matches_array_kernel(self, reverse):
+    def test_scalar_step_matches_array_kernel(self):
         rng = np.random.default_rng(11)
         for geoms in zip(*[iter(random_geometries(rng, 90, omega_max=1e4))] * 3):
             psi0 = self.random_state(rng)
             for sched in self.static_schedules(geoms):
                 grids = [(None, 1)] * len(sched.segments)
-                kernel = oracle._run(sched, psi0.as_array(), grids, reverse, 4)
-                scalar = propagate(sched, psi0, reverse=reverse).as_array()
+                kernel = oracle._run(sched, psi0.as_array(), grids, 4)
+                scalar = propagate(sched, psi0).as_array()
                 assert np.max(np.abs(scalar - kernel)) < 1e-15
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_zero_budget_returns_initial_state(self, reverse):
+    def test_zero_budget_returns_initial_state(self):
         rng = np.random.default_rng(12)
         geoms = [MeasurementGeometry(g.xi, g.gamma, g.eta, 0.0) for g in random_geometries(rng, 3)]
         psi0 = self.random_state(rng)
         for sched in self.static_schedules(geoms):
-            assert propagate(sched, psi0, reverse=reverse) == psi0
+            assert propagate(sched, psi0) == psi0
 
     def test_never_reaches_array_kernel(self, monkeypatch):
         def refuse(*args):
@@ -503,10 +519,9 @@ class TestStaticFastPath:
             MeasurementGeometry(xi=0.3, gamma=1.1, eta=0.2, omega0T=40.0), CouplingProfile.constant()
         )
         successive = successive_schedule(three_field_config(21.0))
-        for reverse in (False, True):
-            for sched in (single, successive):
-                assert abs(propagate(sched, SpinState.plus(), reverse=reverse).norm() - 1.0) < 1e-15
-            assert abs(propagate(successive, SpinState.plus(), steps=3, reverse=reverse).norm() - 1.0) < 1e-15
+        for sched in (single, successive):
+            assert abs(propagate(sched, SpinState.plus()).norm() - 1.0) < 1e-15
+        assert abs(propagate(successive, SpinState.plus(), steps=3).norm() - 1.0) < 1e-15
 
 
 class TestNearDegeneratePoint:
