@@ -27,6 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +142,37 @@ class FieldSpec:
         return direction_vector(self.gamma, self.eta)
 
 
+class _KnotPanels(NamedTuple):
+    """What a tabulated profile's Fourier integral needs of its knots alone.
+
+    For knot interval j of width h_j the panel weights are the trapezoid
+    term (h_j/2)(v_j + v_{j+1}) and the slope term (h_j/2)(v_{j+1} - v_j) of
+    _knot_integral; area is the trapezoid integral of the interpolant (the
+    fsum of the trapezoid terms) and abs_area that of |gT|.  The arrays are
+    read-only.
+    """
+
+    width: np.ndarray
+    mid: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    area: float
+    abs_area: float
+
+    @classmethod
+    def build(cls, s: np.ndarray, v: np.ndarray) -> "_KnotPanels":
+        h = np.diff(s)
+        mid = 0.5 * (s[:-1] + s[1:])
+        half_h = 0.5 * h
+        even = half_h * (v[:-1] + v[1:])
+        odd = half_h * (v[1:] - v[:-1])
+        a = abs(v)
+        abs_area = 0.5 * math.fsum(((a[:-1] + a[1:]) * h).tolist())
+        for array in (h, mid, even, odd):
+            array.flags.writeable = False
+        return cls(h, mid, even, odd, math.fsum(even.tolist()), abs_area)
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Normalized switching profile g(t)*T on the unit interval s = t/T.
@@ -149,8 +181,10 @@ class CouplingProfile:
     between (s, gT) knots that must start at s = 0, end at s = 1, and
     integrate to 1 within TABULATED_NORMALIZATION_TOLERANCE.  Tabulated
     samples may be any iterable of pairs; they are stored as a tuple of
-    float pairs, and their knot arrays are built once, read-only, outside
-    the dataclass fields.
+    float pairs.  What depends only on the knots is built once, read-only,
+    outside the dataclass fields (so equality, hash and repr see the samples
+    alone): the knot arrays, their _KnotPanels, and the trapezoid integrals
+    of gT and |gT|.
     """
 
     kind: ProfileKind
@@ -159,26 +193,27 @@ class CouplingProfile:
     def __post_init__(self):
         if self.kind is ProfileKind.TABULATED:
             pairs = () if self.samples is None else self.samples
-            samples = tuple((float(s), float(v)) for s, v in pairs)
+            samples = tuple([(float(s), float(v)) for s, v in pairs])
             if len(samples) < 2:
                 raise ValueError("tabulated profile needs at least two (s, gT) samples")
             object.__setattr__(self, "samples", samples)
-            s_vals, v_vals = np.array(samples).T.copy()
-            s_vals.flags.writeable = False
-            v_vals.flags.writeable = False
-            object.__setattr__(self, "_knots", (s_vals, v_vals))
+            s_vals, v_vals = (np.array(column) for column in zip(*samples))
             if np.any(s_vals[1:] <= s_vals[:-1]):
                 raise ValueError("tabulated sample positions must be strictly ascending")
             if abs(s_vals[0]) > 1e-12 or abs(s_vals[-1] - 1.0) > 1e-12:
                 raise ValueError("tabulated samples must span s = 0 to s = 1")
             if not (np.all(np.isfinite(s_vals)) and np.all(np.isfinite(v_vals))):
                 raise ValueError("tabulated samples must be finite")
-            area = _knot_integral(s_vals, v_vals, 0.0).real
-            if abs(area - 1.0) > TABULATED_NORMALIZATION_TOLERANCE:
+            s_vals.flags.writeable = False
+            v_vals.flags.writeable = False
+            panels = _KnotPanels.build(s_vals, v_vals)
+            if abs(panels.area - 1.0) > TABULATED_NORMALIZATION_TOLERANCE:
                 raise ValueError(
-                    f"tabulated profile integrates to {area!r}, "
+                    f"tabulated profile integrates to {panels.area!r}, "
                     f"residual exceeds {TABULATED_NORMALIZATION_TOLERANCE}"
                 )
+            object.__setattr__(self, "_knots", (s_vals, v_vals))
+            object.__setattr__(self, "_panels", panels)
         elif self.samples is not None:
             raise ValueError(f"samples are only meaningful for tabulated profiles, kind is {self.kind}")
 
@@ -203,10 +238,9 @@ class CouplingProfile:
         """Load a tabulated profile from two whitespace-separated columns (s, gT)."""
         rows = []
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = stripped.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
             try:
@@ -297,8 +331,11 @@ def normalization_residual(profile: CouplingProfile) -> float:
 
     Exact up to rounding: the built-in kinds give their closed form at zero
     frequency, which is 1 exactly, and tabulated profiles give the exact
-    integral of their linear interpolant (the trapezoid sum over the knots).
+    integral of their linear interpolant, the trapezoid sum over the knots
+    stored at construction.
     """
+    if profile.kind is ProfileKind.TABULATED:
+        return abs(profile._panels.area - 1.0)
     return abs(phased_integral(profile, 0.0) - 1.0)
 
 
@@ -328,25 +365,47 @@ def _spectral_optimized(x: float) -> float:
 _SERIES_SWITCH = 1.0
 _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
 _J1_SERIES = tuple((-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3) for k in range(10))
+# Both series' coefficients as columns, highest order first, for _sinc_j1_series.
+_SERIES_ROWS = np.array([_SINC_SERIES, _J1_SERIES]).T[::-1, :, None].copy()
+
+
+def _sinc_j1_closed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sinc_x = np.sin(x) / x
+    return sinc_x, (sinc_x - np.cos(x)) / x
+
+
+def _sinc_j1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Horner's rule on both series at once, one row each
+    x2 = x * x
+    acc = np.zeros((2, x.size))
+    for coefficients in _SERIES_ROWS:
+        acc *= x2
+        acc += coefficients
+    sinc_x, j1_over_x = acc
+    return sinc_x, x * j1_over_x
 
 
 def _sinc_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin(x)/x and (sin(x) - x cos(x))/x^2, elementwise for x >= 0."""
+    """sin(x)/x and (sin(x) - x cos(x))/x^2, elementwise for x >= 0.
+
+    Each element takes one formula: the closed form from _SERIES_SWITCH on,
+    the Taylor series below it.
+    """
     large = x >= _SERIES_SWITCH
-    xl = np.where(large, x, 1.0)
-    sinc_l = np.sin(xl) / xl
-    j1_l = (sinc_l - np.cos(xl)) / xl
-    x2 = np.where(large, 0.0, x * x)
-    sinc_s = np.zeros_like(x)
-    j1_s = np.zeros_like(x)
-    for c_sinc, c_j1 in zip(reversed(_SINC_SERIES), reversed(_J1_SERIES)):
-        sinc_s = sinc_s * x2 + c_sinc
-        j1_s = j1_s * x2 + c_j1
-    return np.where(large, sinc_l, sinc_s), np.where(large, j1_l, x * j1_s)
+    n_large = np.count_nonzero(large)
+    if n_large == x.size:
+        return _sinc_j1_closed(x)
+    if n_large == 0:
+        return _sinc_j1_series(x)
+    small = ~large
+    sinc_x, j1_x = np.empty_like(x), np.empty_like(x)
+    sinc_x[large], j1_x[large] = _sinc_j1_closed(x[large])
+    sinc_x[small], j1_x[small] = _sinc_j1_series(x[small])
+    return sinc_x, j1_x
 
 
-def _knot_integral(s: np.ndarray, v: np.ndarray, omega: float) -> complex:
-    """Exact int_0^1 e^{i omega u} L(u) du for the linear interpolant L of (s, v).
+def _knot_integral(profile: CouplingProfile, omega: float) -> complex:
+    """Exact int_0^1 e^{i omega u} L(u) du for the linear interpolant L of a tabulated profile.
 
     On the knot interval [s_j, s_j + h] with x = omega h / 2 this is the
     Filon-type closed form h e^{i omega s_j} (v_j (E0 - E1) + v_{j+1} E1),
@@ -356,19 +415,21 @@ def _knot_integral(s: np.ndarray, v: np.ndarray, omega: float) -> complex:
 
         h e^{i omega m_j} [(v_j + v_{j+1})/2 sinc(x) + i (v_{j+1} - v_j)/2 j1(x)].
 
-    At omega = 0 each term is the
+    The widths, midpoints and the two panel weights h (v_j + v_{j+1})/2 and
+    h (v_{j+1} - v_j)/2 are the profile's _KnotPanels, built once, so a call
+    does only the work that depends on omega.  At omega = 0 each term is the
     trapezoid h (v_j + v_{j+1})/2.  The terms are summed with math.fsum, so
     the cost is O(knots) at any omega.
     """
-    h = np.diff(s)
-    sinc_x, j1_x = _sinc_j1(0.5 * omega * h)
-    even = 0.5 * h * (v[:-1] + v[1:]) * sinc_x
-    odd = 0.5 * h * (v[1:] - v[:-1]) * j1_x
-    phase = omega * (0.5 * (s[:-1] + s[1:]))
+    panels = profile._panels
+    sinc_x, j1_x = _sinc_j1(0.5 * omega * panels.width)
+    even = panels.even * sinc_x
+    odd = panels.odd * j1_x
+    phase = omega * panels.mid
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     return complex(
-        math.fsum(even * cos_p - odd * sin_p),
-        math.fsum(even * sin_p + odd * cos_p),
+        math.fsum((even * cos_p - odd * sin_p).tolist()),
+        math.fsum((even * sin_p + odd * cos_p).tolist()),
     )
 
 
@@ -384,7 +445,7 @@ def phased_integral(profile: CouplingProfile, omega0T: float) -> complex:
     if not (math.isfinite(omega0T) and omega0T >= 0.0):
         raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
     if profile.kind is ProfileKind.TABULATED:
-        return _knot_integral(*profile._knots, float(omega0T))
+        return _knot_integral(profile, float(omega0T))
     x = 0.5 * float(omega0T)
     if profile.kind is ProfileKind.CONSTANT:
         spectral = sinc(x)

@@ -50,11 +50,9 @@ class FirstOrderResult:
 
 
 def _tabulated_l1_bound(profile: CouplingProfile) -> float:
-    # Trapezoid of |gT| over the knots; >= int |gT| by convexity of |.|,
-    # hence still a valid envelope factor.
-    s, v = profile._knots
-    a = abs(v)
-    return 0.5 * math.fsum(((a[:-1] + a[1:]) * (s[1:] - s[:-1])).tolist())
+    # Trapezoid of |gT| over the knots, stored at construction; >= int |gT|
+    # by convexity of |.|, hence still a valid envelope factor.
+    return profile._panels.abs_area
 
 
 def _envelope_bound(profile: CouplingProfile, geom: MeasurementGeometry) -> float:

@@ -227,6 +227,10 @@ def _cos_sinc_series(p: np.ndarray, p_max: float) -> tuple[np.ndarray, np.ndarra
     return cos, sinc
 
 
+def _overflow(geom: MeasurementGeometry) -> ValueError:
+    return ValueError(f"oracle step overflows at xi={geom.xi!r}, omega0T={geom.omega0T!r}")
+
+
 def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pairs of steps start..stop-1 of the segment's grid.
 
@@ -267,22 +271,27 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
     ny = sin_g * math.sin(geom.eta)
     nz = math.cos(geom.gamma)
 
-    if order == 2 or profile.kind is ProfileKind.CONSTANT:
-        g = coupling(0.5)
-        cx = (half * nx) * g
-        cy = (half * ny) * g
-    else:
-        g1 = coupling(0.5 - _GAUSS_OFFSET)
-        g2 = coupling(0.5 + _GAUSS_OFFSET)
-        g = 0.5 * (g1 + g2)
-        w = (_GAUSS_OFFSET * half * half) * (g2 - g1)
-        cx = (half * nx) * g - ny * w
-        cy = (half * ny) * g + nx * w
-    cz = half * (1.0 + g * nz)
-    p = cx * cx
-    p += cy * cy
-    p += cz * cz
-    p_max = float(p.max())
+    # At a huge xi the exponents overflow; p_max is then inf or NaN, and
+    # the step is refused instead of propagating NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order == 2 or profile.kind is ProfileKind.CONSTANT:
+            g = coupling(0.5)
+            cx = (half * nx) * g
+            cy = (half * ny) * g
+        else:
+            g1 = coupling(0.5 - _GAUSS_OFFSET)
+            g2 = coupling(0.5 + _GAUSS_OFFSET)
+            g = 0.5 * (g1 + g2)
+            w = (_GAUSS_OFFSET * half * half) * (g2 - g1)
+            cx = (half * nx) * g - ny * w
+            cy = (half * ny) * g + nx * w
+        cz = half * (1.0 + g * nz)
+        p = cx * cx
+        p += cy * cy
+        p += cz * cz
+        p_max = float(p.max())
+    if not math.isfinite(p_max):
+        raise _overflow(geom)
     if p_max <= _SERIES_MAX_P:
         cos, t = _cos_sinc_series(p, p_max)
     else:
@@ -317,7 +326,7 @@ def _grids(schedule: HamiltonianSchedule, steps: int) -> list[tuple]:
             grids.append((None, n))
             continue
         edges = seg.profile._knots[0]
-        h = np.diff(edges)
+        h = seg.profile._panels.width
         counts = np.ceil(n * h).astype(np.int64)
         width = h / counts
         if width.max() - width.min() <= 1e-12 * width.min():
@@ -367,6 +376,8 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState) -> SpinState:
         cy = (half * (sin_g * math.sin(geom.eta))) * geom.xi
         cz = half * (1.0 + geom.xi * math.cos(geom.gamma))
         phi = math.sqrt(cx * cx + cy * cy + cz * cz)
+        if not math.isfinite(phi):
+            raise _overflow(geom)
         t = math.sin(phi) / (phi if phi > 0.0 else 1.0)
         step_a = complex(math.cos(phi), cz * t)
         step_b = complex(cy * t, cx * t)
@@ -414,7 +425,9 @@ def propagate(schedule: HamiltonianSchedule, psi0: SpinState, steps: int | None 
         step.  Otherwise the step count doubles from 2**8, halving every
         step, until two successive refinements agree within 1e-10, capped at
         MAX_ADAPTIVE_STEPS (ConvergenceError beyond it).  The error of the
-        returned state is then about that last difference over 15.
+        returned state is then about that last difference over 15.  A step
+        whose exponent overflows (xi near 1e300 and beyond) raises
+        ValueError naming xi and omega0T.
 
     Returns
     -------

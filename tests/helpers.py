@@ -29,6 +29,60 @@ def simpson_phased_integral(profile, omega0T, n=2**16):
     return complex(np.sum(w * f) * h / 3.0)
 
 
+# A reference Filon sum in core._knot_integral's arithmetic order that builds
+# every knot quantity on each call and evaluates both formulas of sinc and j1
+# on every interval.  The library, with its stored knot panels and one formula
+# per interval, must match it bit for bit.
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10))
+_J1_SERIES = tuple((-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3) for k in range(10))
+
+
+def reference_sinc_j1(x):
+    large = x >= 1.0
+    xl = np.where(large, x, 1.0)
+    sinc_l = np.sin(xl) / xl
+    j1_l = (sinc_l - np.cos(xl)) / xl
+    x2 = np.where(large, 0.0, x * x)
+    sinc_s = np.zeros_like(x)
+    j1_s = np.zeros_like(x)
+    for c_sinc, c_j1 in zip(reversed(_SINC_SERIES), reversed(_J1_SERIES)):
+        sinc_s = sinc_s * x2 + c_sinc
+        j1_s = j1_s * x2 + c_j1
+    return np.where(large, sinc_l, sinc_s), np.where(large, j1_l, x * j1_s)
+
+
+def reference_knot_integral(s, v, omega):
+    h = np.diff(s)
+    sinc_x, j1_x = reference_sinc_j1(0.5 * omega * h)
+    even = 0.5 * h * (v[:-1] + v[1:]) * sinc_x
+    odd = 0.5 * h * (v[1:] - v[:-1]) * j1_x
+    phase = omega * (0.5 * (s[:-1] + s[1:]))
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    return complex(
+        math.fsum(even * cos_p - odd * sin_p),
+        math.fsum(even * sin_p + odd * cos_p),
+    )
+
+
+def signed_profiles(seed):
+    """Tabulated profiles of 2 to 2049 uneven knots whose values change sign."""
+    rng = np.random.default_rng(seed)
+    profiles = [CouplingProfile.tabulated([(0.0, -0.5), (1.0, 2.5)])]
+    for n in (3, 17, 129, 513, 2049):
+        s = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+        v = np.sin(9.0 * s + rng.uniform(0.0, 2.0 * math.pi)) + 0.4
+        v /= float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(s)))
+        profiles.append(CouplingProfile.tabulated(zip(s.tolist(), v.tolist())))
+    return profiles
+
+
+def panel_omegas(seed, draws=12):
+    """omega0T from 0 through 3e7: fixed edge values plus log-uniform draws."""
+    rng = np.random.default_rng(seed)
+    fixed = [0.0, 5e-324, 1e-3, 0.7, 2.0, 1e6, 3e7]
+    return fixed + np.exp(rng.uniform(math.log(1e-3), math.log(3e7), draws)).tolist()
+
+
 def propagate_midpoint(schedule, psi0, steps):
     """propagate with fixed exponential midpoint steps instead of Magnus steps.
 

@@ -241,6 +241,13 @@ CASES = [
     "multi --omega0T 3.595386269724632e228 --xi 0 0 1e80",
     "multi --omega0T 1.7e308 --xi 1 2 1e200",
     "multi --omega0T 2 --xi 1.7e308 1.7e308 0",
+    # the oracle where a step's exponent overflows: static, then driven
+    "sweep --axis xi --min 1e308 --max 1.7e308 --count 2 --gamma 90 --omega0T 2 --methods oracle",
+    "multi --omega0T 2 --xi 1e308 0 0 --oracle",
+    "sweep --axis xi --min 1e300 --max 1e308 --count 2 --gamma 90 --omega0T 2 --methods oracle"
+    " --profile raised-cosine",
+    "sweep --axis xi --min 1e300 --max 1e308 --count 2 --gamma 90 --omega0T 2 --methods oracle"
+    " --profile tabulated:triangle.txt",
 ]
 
 

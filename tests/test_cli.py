@@ -683,24 +683,36 @@ def _triple(draw, name):
 _formats = st.sampled_from(["csv", "json"])
 _counts = st.sampled_from([2, 3, 5])
 
+_SWEEP_AXES = dict(
+    axis=(st.sampled_from(["xi", "gamma", "omega0T"]), True),
+    min=(_floats, True),
+    max=(_floats, True),
+    count=(_counts, True),
+    spacing=(st.sampled_from(["linear", "log"]), False),
+    xi=(_floats, False),
+    gamma=(_floats, False),
+    eta=(_floats, False),
+    omega0T=(_floats, False),
+)
+_CLOSED_FORMS = ["exact", "envelope", "taylor", "first-order"]
+
 _COMMANDS = {
-    "sweep": st.tuples(
-        _options(
-            axis=(st.sampled_from(["xi", "gamma", "omega0T"]), True),
-            min=(_floats, True),
-            max=(_floats, True),
-            count=(_counts, True),
-            spacing=(st.sampled_from(["linear", "log"]), False),
-            xi=(_floats, False),
-            gamma=(_floats, False),
-            eta=(_floats, False),
-            omega0T=(_floats, False),
-            methods=(
-                st.sets(st.sampled_from(["exact", "envelope", "taylor", "first-order"]), min_size=1)
-                .map(",".join),
-                False,
+    "sweep": st.one_of(
+        st.tuples(
+            _options(
+                **_SWEEP_AXES,
+                methods=(st.sets(st.sampled_from(_CLOSED_FORMS), min_size=1).map(",".join), False),
+                profile=(st.sampled_from(["constant", "raised-cosine", "optimized"]), False),
             ),
-            profile=(st.sampled_from(["constant", "raised-cosine", "optimized"]), False),
+        ),
+        # the oracle on the constant profile: one scalar step (_run_static)
+        st.tuples(
+            _options(
+                **_SWEEP_AXES,
+                methods=(st.sets(st.sampled_from(_CLOSED_FORMS)).map(lambda m: ",".join(["oracle", *m])),
+                         True),
+                profile=(st.just("constant"), False),
+            ),
         ),
     ),
     "reversal": st.tuples(
@@ -723,6 +735,7 @@ _COMMANDS = {
         st.one_of(st.just([]), _triple("gamma")),
         st.one_of(st.just([]), _triple("eta")),
         st.sampled_from([[], ["--relaxed"]]),
+        st.sampled_from([[], ["--oracle"]]),
     ),
     "coupling": st.tuples(
         st.just(["ratio"]),
@@ -737,8 +750,10 @@ _COMMANDS = {
 def test_exit_code_contract(argv):
     """Any input ends in exit 0, 2 or 3 with at most one 'error:' line, never a NaN.
 
-    The closed-form commands only (no oracle run), in process, with the
-    floats at the edges of the double range.
+    The closed-form commands and the static oracle (`sweep --methods oracle`
+    on the constant profile, `multi --oracle`: one scalar step per segment at
+    any omega0T), in process, with the floats at the edges of the double
+    range.
     """
     command, fmt, parts = argv
     words = [command, f"--format={fmt}", *(word for part in parts for word in part)]

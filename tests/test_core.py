@@ -28,7 +28,7 @@ from protspin import (
     normalization_residual,
     phased_integral,
 )
-from helpers import simpson_phased_integral
+from helpers import panel_omegas, reference_knot_integral, signed_profiles, simpson_phased_integral
 
 BUILTINS = [
     CouplingProfile.constant(),
@@ -231,12 +231,29 @@ class TestTabulatedProfiles:
             CouplingProfile.tabulated([(0.0, 1.0), (0.5, math.nan), (1.0, 1.0)])
 
     def test_knot_arrays_are_built_once_and_read_only(self):
-        prof = CouplingProfile.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
+        prof = CouplingProfile.tabulated([(0.0, 0.0), (0.25, 1.0), (0.5, 2.0), (1.0, 0.0)])
         s, v = prof._knots
-        assert prof._knots[0] is s and prof._knots[1] is v
-        assert s.tolist() == [0.0, 0.5, 1.0] and v.tolist() == [0.0, 2.0, 0.0]
-        with pytest.raises(ValueError):
-            v[1] = 3.0
+        panels = prof._panels
+        assert prof._knots[0] is s and prof._knots[1] is v and prof._panels is panels
+        assert s.tolist() == [0.0, 0.25, 0.5, 1.0] and v.tolist() == [0.0, 1.0, 2.0, 0.0]
+        assert panels.width.tolist() == [0.25, 0.25, 0.5]
+        assert panels.mid.tolist() == [0.125, 0.375, 0.75]
+        assert panels.even.tolist() == [0.125, 0.375, 0.5]
+        assert panels.odd.tolist() == [0.125, 0.125, -0.5]
+        assert panels.area == panels.abs_area == 1.0
+        for array in (s, v, panels.width, panels.mid, panels.even, panels.odd):
+            with pytest.raises(ValueError):
+                array[1] = 3.0
+
+    def test_integrals_need_no_knot_set_up_per_call(self, monkeypatch):
+        prof = signed_profiles(seed=3)[3]
+        expected = (phased_integral(prof, 0.0), phased_integral(prof, 50.0), normalization_residual(prof))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.diff called after construction")
+
+        monkeypatch.setattr(core.np, "diff", refuse)
+        assert (phased_integral(prof, 0.0), phased_integral(prof, 50.0), normalization_residual(prof)) == expected
 
     def test_knot_arrays_are_not_fields(self, tmp_path):
         path = tmp_path / "triangle.dat"
@@ -263,6 +280,29 @@ class TestTabulatedProfiles:
         prof = CouplingProfile.from_file(path)
         assert prof.kind is ProfileKind.TABULATED
         assert abs(coupling_eval(prof, 0.5) - 2.0) < 1e-15
+
+    def test_from_file_skips_comments_and_blank_lines_in_any_layout(self, tmp_path):
+        path = tmp_path / "layout.dat"
+        path.write_bytes(b"  # indented comment\r\n\t \r\n0\t0\r\n   \n0.5 \t 2\r\n#1 5\n1 0")
+        prof = CouplingProfile.from_file(path)
+        assert prof.samples == ((0.0, 0.0), (0.5, 2.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 0\n0.5 1 # note\n1 0\n", ":2: expected two columns, got 4"),
+            ("0 0\n0.5 1 #note\n1 0\n", ":2: expected two columns, got 3"),
+            ("0 0\r\n\r\n0.5\r\n1 0\r\n", ":3: expected two columns, got 1"),
+            ("# s gT\n0 0\n0.5 x\n1 0\n", ":3: could not convert string to float: 'x'"),
+            ("  # s gT\n\t\n0\t0\t9\n", ":3: expected two columns, got 3"),
+        ],
+    )
+    def test_from_file_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.dat"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            CouplingProfile.from_file(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 def test_import_does_not_load_scipy():
@@ -427,6 +467,19 @@ class TestTabulatedIntegral:
     def test_jittered_knots_match_brute_force(self, omega):
         prof = _jittered_profile(513, seed=5)
         assert abs(phased_integral(prof, omega) - simpson_phased_integral(prof, omega)) < 1e-9
+
+    def test_same_bits_as_per_call_set_up(self):
+        # Every result from the stored panels repr-equals the reference Filon
+        # sum, which rebuilds them on every call, on series-only,
+        # closed-form-only and mixed intervals alike.
+        branches = set()
+        for prof in signed_profiles(seed=11):
+            s, v = prof._knots
+            assert repr(normalization_residual(prof)) == repr(abs(reference_knot_integral(s, v, 0.0) - 1.0))
+            for omega in panel_omegas(seed=12):
+                assert repr(phased_integral(prof, omega)) == repr(reference_knot_integral(s, v, omega))
+                branches.add(frozenset((0.5 * omega * np.diff(s) >= core._SERIES_SWITCH).tolist()))
+        assert branches == {frozenset([True]), frozenset([False]), frozenset([True, False])}
 
     def test_memory_does_not_grow_with_frequency(self):
         prof = _jittered_profile(513, seed=6)

@@ -20,7 +20,9 @@ from protspin import (
     propagate,
     reduction_ratio,
 )
+from protspin import core
 from protspin.dyson import _tabulated_l1_bound
+from helpers import panel_omegas, reference_knot_integral, signed_profiles
 
 BUILTINS = [
     CouplingProfile.constant(),
@@ -93,6 +95,24 @@ class TestFirstOrderAmplitude:
             total += 0.5 * (abs(v0) + abs(v1)) * (s1 - s0)
         assert abs(_tabulated_l1_bound(prof) - total) <= 1e-13 * total
         assert total > 1.0  # the profile changes sign, so int |gT| > int gT = 1
+
+    def test_tabulated_results_keep_their_bits(self, monkeypatch):
+        # The stored |gT| trapezoid and first-order amplitudes repr-equal what
+        # per-call set-up of the knot panels gave.
+        profiles = signed_profiles(seed=21)
+        geoms = [
+            MeasurementGeometry(xi=0.3, gamma=1.1, eta=0.4, omega0T=omega) for omega in panel_omegas(seed=22)
+        ]
+        results = [repr(first_order_amplitude(prof, geom)) for prof in profiles for geom in geoms]
+        monkeypatch.setattr(
+            core, "_knot_integral", lambda prof, omega: reference_knot_integral(*prof._knots, omega)
+        )
+        assert [repr(first_order_amplitude(prof, geom)) for prof in profiles for geom in geoms] == results
+        for prof in profiles:
+            s, v = prof._knots
+            a = abs(v)
+            expected = 0.5 * math.fsum(((a[:-1] + a[1:]) * (s[1:] - s[:-1])).tolist())
+            assert repr(_tabulated_l1_bound(prof)) == repr(expected)
 
     def test_quadratic_deviation_from_exact_under_halving(self):
         # deviation from the static-field closed form scales as xi^2

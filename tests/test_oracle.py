@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,31 @@ class TestLargeBudget:
         geom = MeasurementGeometry(xi=1e-3, gamma=0.5 * math.pi, eta=0.4, omega0T=1e4)
         state = propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
         assert abs(state.c_minus - first_order_amplitude(profile, geom).amplitude) < 1e-11
+
+
+class TestOverflowingSteps:
+    """Where a step's exponent overflows the oracle refuses, naming xi and omega0T."""
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            CouplingProfile.constant(),
+            CouplingProfile.raised_cosine(),
+            CouplingProfile.tabulated([(0.0, 0.0), (0.3, 2.0), (1.0, 0.0)]),
+        ],
+        ids=lambda p: p.kind.value,
+    )
+    @pytest.mark.parametrize("xi", [1e300, 1e308])
+    def test_refused_at_once_without_warnings(self, profile, xi):
+        geom = MeasurementGeometry(xi=xi, gamma=0.5 * math.pi, omega0T=2.0)
+        schedule = HamiltonianSchedule.single(geom, profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                propagate(schedule, SpinState.plus())
+            assert str(info.value) == f"oracle step overflows at xi={xi!r}, omega0T=2.0"
+            with pytest.raises(ValueError, match="oracle step overflows"):
+                crosscheck(geom, profile)
 
 
 class TestTabulatedGrid:
