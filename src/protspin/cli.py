@@ -257,6 +257,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_coupling(args) -> int:
     if args.what == "shape":
+        if args.count < 2:
+            raise ValueError(f"count must be >= 2, got {args.count}")
         grid = np.linspace(0.0, 1.0, args.count)
         profiles = [make() for make in _PROFILE_NAMES.values()]
         header = ["t_over_T"] + [name.replace("-", "_") for name in _PROFILE_NAMES]
@@ -451,6 +453,11 @@ def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_to
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise ValueError(f"cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    for flag, tol in (("exact-tol", args.exact_tol), ("first-order-tol", args.first_order_tol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{flag} must be finite and > 0, got {tol}")
     rng = np.random.default_rng(args.seed)
     checks = _verify_checks(rng, args.cases, args.exact_tol, args.first_order_tol)
     all_passed = all(c["passed"] for c in checks)

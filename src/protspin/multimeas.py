@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _unit_vector, sinc
-from .oracle import HamiltonianSchedule
+from .oracle import HamiltonianSchedule, Segment
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
@@ -177,8 +177,8 @@ def simultaneous_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:
 
 def successive_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:
     """Schedule for three equal windows, one field each, constant coupling."""
-    geoms = [
-        MeasurementGeometry(f.xi, f.gamma, f.eta, config.omega0T)
+    constant = CouplingProfile.constant()
+    return HamiltonianSchedule(tuple(
+        Segment(MeasurementGeometry(f.xi, f.gamma, f.eta, config.omega0T), constant)
         for f in config.fields
-    ]
-    return HamiltonianSchedule.successive(geoms)
+    ))

@@ -107,15 +107,10 @@ class SpinState:
 
 @dataclass(frozen=True)
 class Segment:
-    """One leg of a schedule: a fraction of total time with its own field."""
+    """One leg of a schedule: its field, with its own omega0T, and its coupling profile."""
 
-    fraction: float
     geom: MeasurementGeometry
     profile: CouplingProfile
-
-    def __post_init__(self):
-        if not (math.isfinite(self.fraction) and self.fraction > 0.0):
-            raise ValueError(f"segment fraction must be positive, got {self.fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,8 @@ class HamiltonianSchedule:
     """Ordered measurement segments covering the full evolution window.
 
     Each segment's geom.omega0T is the dimensionless budget of that segment
-    alone, so it must be proportional to the segment's duration fraction
-    (the protection field, hence omega0, is common to all segments).
+    alone.  The protection field, hence omega0, is common to all segments,
+    so a segment's share of the window is its share of the summed omega0T.
     """
 
     segments: tuple[Segment, ...]
@@ -132,37 +127,11 @@ class HamiltonianSchedule:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        total_fraction = math.fsum(seg.fraction for seg in segments)
-        if abs(total_fraction - 1.0) > 1e-12:
-            raise ValueError(f"segment fractions must sum to 1, got {total_fraction!r}")
-        total = self.omega0T_total
-        for k, seg in enumerate(segments):
-            expected = seg.fraction * total
-            if abs(expected - seg.geom.omega0T) > 1e-9 * max(total, 1.0):
-                raise ValueError(
-                    f"segment {k}: omega0T {seg.geom.omega0T!r} inconsistent with "
-                    f"fraction {seg.fraction!r} of total {total!r}"
-                )
-
-    @property
-    def omega0T_total(self) -> float:
-        return math.fsum(seg.geom.omega0T for seg in self.segments)
+        object.__setattr__(self, "segments", tuple(self.segments))
 
     @classmethod
     def single(cls, geom: MeasurementGeometry, profile: CouplingProfile) -> "HamiltonianSchedule":
-        return cls((Segment(1.0, geom, profile),))
-
-    @classmethod
-    def successive(cls, geoms) -> "HamiltonianSchedule":
-        """Equal-duration constant-coupling segments, one per geometry, in order."""
-        geoms = tuple(geoms)
-        if not geoms:
-            raise ValueError("need at least one geometry")
-        frac = 1.0 / len(geoms)
-        constant = CouplingProfile.constant()
-        return cls(tuple(Segment(frac, g, constant) for g in geoms))
+        return cls((Segment(geom, profile),))
 
 
 def _compose(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:
@@ -311,17 +280,24 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
 def _grids(schedule: HamiltonianSchedule, steps: int) -> list[tuple]:
     """Step grid of each segment for a nominal total of steps.
 
-    Segment k is due n = max(1, round(steps * fraction)) steps.  On a
-    tabulated profile its grid is a pair (edges, counts) of arrays: knot
-    interval i runs from edges[i] to edges[i + 1] and holds counts[i] =
-    ceil(n h) equal steps, h its width, so the coupling is linear across
-    every step and no interval, however narrow, falls between sample points.
+    Segment k is due n = max(1, round(steps * share)) steps, its share being
+    its omega0T over the schedule's summed omega0T.  The budgets are divided
+    by the largest before they are summed, so the sum cannot overflow; if
+    all are 0 the segments share the steps equally.  On a tabulated profile
+    the segment's grid is a pair (edges, counts) of arrays: knot interval i
+    runs from edges[i] to edges[i + 1] and holds counts[i] = ceil(n h) equal
+    steps, h its width, so the coupling is linear across every step and no
+    interval, however narrow, falls between sample points.
     On a built-in profile it is (None, n): n equal steps over [0, 1]; so it
     is on a tabulated one whose knot intervals come out with equal steps.
     """
+    budgets = [seg.geom.omega0T for seg in schedule.segments]
+    top = max(budgets)
+    ratios = [b / top for b in budgets] if top > 0.0 else [1.0] * len(budgets)
+    total = math.fsum(ratios)
     grids = []
-    for seg in schedule.segments:
-        n = max(1, round(steps * seg.fraction))
+    for seg, ratio in zip(schedule.segments, ratios):
+        n = max(1, round(steps * (ratio / total)))
         if seg.profile.kind is not ProfileKind.TABULATED:
             grids.append((None, n))
             continue
@@ -417,7 +393,8 @@ def propagate(schedule: HamiltonianSchedule, psi0: SpinState, steps: int | None 
         Must be normalized within 1e-10.
     steps : int or None
         Fixed count of two-Gauss-point Magnus steps, allocated across
-        segments by duration; on a tabulated profile each knot interval
+        segments by their shares of the summed omega0T, which are their
+        shares of the time; on a tabulated profile each knot interval
         rounds its share up to whole steps.  None selects the adaptive
         rule.  If every segment has a constant profile the Hamiltonian is
         piecewise static and each segment takes one exact step, in scalar

@@ -150,6 +150,9 @@ CASES = [
     "coupling ratio --min 10 --max 80",
     "coupling ratio --min 20 --max 10",
     "coupling ratio --min 20 --max 40 --count 1",
+    "coupling shape --count 1",
+    "coupling shape --count 0",
+    "coupling shape --count -1",
     "coupling nope",
     # multi
     f"{_MULTI}",
@@ -226,6 +229,14 @@ CASES = [
     "verify --cases 10 --exact-tol 1e-30",
     "verify --cases 10 --first-order-tol 1e-30 --format csv",
     "verify --cases 0",
+    "verify --cases 1 --first-order-tol nan --format csv",
+    "verify --cases 1 --first-order-tol -1",
+    "verify --cases 1 --first-order-tol inf",
+    "verify --cases 1 --exact-tol nan",
+    "verify --cases 1 --exact-tol -1",
+    "verify --cases 1 --exact-tol 0",
+    "verify --cases 1 --exact-tol inf",
+    "verify --cases 1 --seed -1",
     # floats at the edges of the double range: each once ended in a traceback,
     # a NaN or a numpy warning on stderr
     "coupling ratio --min 4000 --max 1e200 --count 2",

@@ -681,7 +681,11 @@ def _triple(draw, name):
 
 
 _formats = st.sampled_from(["csv", "json"])
-_counts = st.sampled_from([2, 3, 5])
+_counts = st.sampled_from([-1, 0, 1, 2, 3, 5])
+# Fixed oracle step counts: on multi's three constant segments 1-3 steps come to
+# one step each (the scalar path) and 16 to five each (the array kernel); on
+# sweep's one segment only 1 is scalar.
+_steps = st.sampled_from([1, 2, 3, 16])
 
 _SWEEP_AXES = dict(
     axis=(st.sampled_from(["xi", "gamma", "omega0T"]), True),
@@ -705,13 +709,15 @@ _COMMANDS = {
                 profile=(st.sampled_from(["constant", "raised-cosine", "optimized"]), False),
             ),
         ),
-        # the oracle on the constant profile: one scalar step (_run_static)
+        # the oracle on the constant profile: one scalar step (_run_static),
+        # or a fixed step count
         st.tuples(
             _options(
                 **_SWEEP_AXES,
                 methods=(st.sets(st.sampled_from(_CLOSED_FORMS)).map(lambda m: ",".join(["oracle", *m])),
                          True),
                 profile=(st.just("constant"), False),
+                steps=(_steps, False),
             ),
         ),
     ),
@@ -735,12 +741,15 @@ _COMMANDS = {
         st.one_of(st.just([]), _triple("gamma")),
         st.one_of(st.just([]), _triple("eta")),
         st.sampled_from([[], ["--relaxed"]]),
-        st.sampled_from([[], ["--oracle"]]),
+        st.one_of(st.sampled_from([[], ["--oracle"]]), _steps.map(lambda n: ["--oracle", f"--steps={n}"])),
     ),
-    "coupling": st.tuples(
-        st.just(["ratio"]),
-        _options(min=(_floats, False), max=(_floats, False), count=(_counts, False),
-                 spacing=(st.sampled_from(["linear", "log"]), False)),
+    "coupling": st.one_of(
+        st.tuples(
+            st.just(["ratio"]),
+            _options(min=(_floats, False), max=(_floats, False), count=(_counts, False),
+                     spacing=(st.sampled_from(["linear", "log"]), False)),
+        ),
+        st.tuples(st.just(["shape"]), _options(count=(_counts, False))),
     ),
 }
 
@@ -752,8 +761,8 @@ def test_exit_code_contract(argv):
 
     The closed-form commands and the static oracle (`sweep --methods oracle`
     on the constant profile, `multi --oracle`: one scalar step per segment at
-    any omega0T), in process, with the floats at the edges of the double
-    range.
+    any omega0T, or a fixed --steps of 1, 2, 3 or 16), in process, with the
+    floats at the edges of the double range and counts below 2.
     """
     command, fmt, parts = argv
     words = [command, f"--format={fmt}", *(word for part in parts for word in part)]

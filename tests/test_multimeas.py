@@ -256,14 +256,17 @@ class TestSchedules:
     def test_simultaneous_schedule_is_single_segment(self):
         config = axes_config(omega0T=12.0)
         sched = simultaneous_schedule(config)
-        assert len(sched.segments) == 1
-        assert abs(sched.omega0T_total - 12.0) < 1e-12
+        assert [seg.geom.omega0T for seg in sched.segments] == [12.0]
 
     def test_successive_schedule_triples_the_budget(self):
         config = axes_config(omega0T=12.0)
         sched = successive_schedule(config)
-        assert len(sched.segments) == 3
-        assert abs(sched.omega0T_total - 36.0) < 1e-12
+        assert [seg.geom.omega0T for seg in sched.segments] == [12.0] * 3
+        assert [seg.geom.xi for seg in sched.segments] == [f.xi for f in config.fields]
+
+    def test_successive_schedule_builds_at_the_largest_budget(self):
+        sched = successive_schedule(axes_config(omega0T=1e308))
+        assert [seg.geom.omega0T for seg in sched.segments] == [1e308] * 3
 
     @pytest.mark.parametrize("builder,predictor", [
         (simultaneous_schedule, simultaneous_amplitude),

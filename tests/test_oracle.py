@@ -71,39 +71,47 @@ class TestSpinState:
             propagate(sched, SpinState(c_plus=0.8, c_minus=0.0))
 
 
-class TestScheduleValidation:
-    def test_fractions_must_sum_to_one(self):
-        geom = MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=5.0)
-        prof = CouplingProfile.constant()
-        with pytest.raises(ValueError):
-            HamiltonianSchedule(
-                segments=(
-                    Segment(fraction=0.5, geom=geom, profile=prof),
-                    Segment(fraction=0.2, geom=geom, profile=prof),
-                )
-            )
+# Budgets at which every schedule the program builds must split the steps
+# exactly as 1.0 / len(segments) does, and the step counts tried there.
+_SHARE_OMEGA0T = (0.0, 5e-324, 1e-320, 1.0, 21.0, 10.0 * math.pi, 1e3, 1e154, 6e307, 1e308)
+_SHARE_STEPS = (*range(1, 70), *sorted({2 ** k + d for k in range(6, 23) for d in (-1, 0, 1)}))
 
-    def test_segment_budget_must_match_fraction(self):
-        # equal per-segment budgets are inconsistent with a 25/75 time split
-        part = MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=6.0)
-        with pytest.raises(ValueError):
-            HamiltonianSchedule(
-                segments=(
-                    Segment(fraction=0.25, geom=part, profile=CouplingProfile.constant()),
-                    Segment(fraction=0.75, geom=part, profile=CouplingProfile.constant()),
-                )
-            )
 
-    def test_fraction_positive(self):
-        geom = MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=5.0)
-        with pytest.raises(ValueError):
-            Segment(fraction=0.0, geom=geom, profile=CouplingProfile.constant())
+def _budget_legs(*budgets):
+    return HamiltonianSchedule(tuple(
+        Segment(MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=w), CouplingProfile.constant())
+        for w in budgets
+    ))
 
-    def test_successive_builder_splits_evenly(self):
-        geoms = [MeasurementGeometry(xi=0.1, gamma=1.0, eta=0.0, omega0T=7.0)] * 3
-        sched = HamiltonianSchedule.successive(geoms)
-        assert len(sched.segments) == 3
-        assert abs(sched.omega0T_total - 21.0) < 1e-12
+
+class TestStepShares:
+    @pytest.mark.parametrize("omega0T", _SHARE_OMEGA0T)
+    def test_built_schedules_split_steps_evenly(self, omega0T):
+        config = MultiFieldConfig.axes(0.1, 0.2, 0.3, omega0T)
+        schedules = (
+            HamiltonianSchedule.single(
+                MeasurementGeometry(xi=0.1, gamma=1.0, omega0T=omega0T), CouplingProfile.constant()
+            ),
+            simultaneous_schedule(config),
+            successive_schedule(config),
+        )
+        for sched in schedules:
+            k = len(sched.segments)
+            for steps in _SHARE_STEPS:
+                assert oracle._grids(sched, steps) == [(None, max(1, round(steps * (1.0 / k))))] * k
+
+    def test_share_follows_the_budget(self):
+        assert oracle._grids(_budget_legs(1.5, 4.5), 16) == [(None, 4), (None, 12)]
+
+    def test_zero_budget_leg_takes_one_step(self):
+        assert oracle._grids(_budget_legs(2.0, 0.0, 6.0), 16) == [(None, 4), (None, 1), (None, 12)]
+
+    def test_all_zero_budgets_share_equally(self):
+        assert oracle._grids(_budget_legs(0.0, 0.0), 16) == [(None, 8), (None, 8)]
+
+    def test_budgets_summing_past_the_float_range(self):
+        sched = _budget_legs(1.7e308, 1.7e308, 0.85e308)
+        assert oracle._grids(sched, 20) == [(None, 8), (None, 8), (None, 4)]
 
 
 class TestPropagate:
@@ -451,7 +459,7 @@ class TestKernel:
         monkeypatch.setattr(np, "sin", counted(np.sin))
         monkeypatch.setattr(np, "cos", counted(np.cos))
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=50.0)
-        seg = Segment(1.0, geom, profile)
+        seg = Segment(geom, profile)
         alpha, _ = oracle._steps(seg, (None, 2**16), 2**14, 2**15, order)
         assert alpha.size == 2**14
         assert sizes and max(sizes) <= 256
