@@ -23,7 +23,10 @@ below 2**-64, so the step costs a few multiplies and no sine or cosine.  A
 chunk with larger steps takes np.sin and np.cos.  On the uniform grid of a
 built-in profile the couplings come from core.coupling_grid, which, on
 chunks of 1024 steps and more, combines two tables of about sqrt(steps)
-cosines by angle addition instead of taking a cosine per step.
+cosines by angle addition instead of taking a cosine per step.  On a
+constant profile all steps of a segment are equal, so a chunk computes one
+and repeats it; the reduction still multiplies every copy, so the product
+has the same bits as one built from steps computed one by one.
 
 Steps are equal within a segment, except on a tabulated profile: there every
 knot is a step edge and each knot interval is split into equal steps, its
@@ -145,13 +148,22 @@ def _compose(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:
         m = alpha.size // 2
         a1, a2 = alpha[0:2 * m:2], alpha[1:2 * m:2]
         b1, b2 = beta[0:2 * m:2], beta[1:2 * m:2]
-        head_a = a2 * a1 - b2 * np.conjugate(b1)
-        head_b = a2 * b1 + b2 * np.conjugate(a1)
+        # Each product goes to a fresh array: numpy's complex multiply written
+        # in place onto an operand can move the last bits.  Sums are exact
+        # either way, so they accumulate in place.
+        head_a = a2 * a1
+        head_a -= b2 * np.conjugate(b1)
+        head_b = a2 * b1
+        head_b += b2 * np.conjugate(a1)
         if alpha.size % 2:
             head_a = np.append(head_a, alpha[-1])
             head_b = np.append(head_b, beta[-1])
         alpha, beta = head_a, head_b
-    a, b = complex(alpha[0]), complex(beta[0])
+    return _unit(complex(alpha[0]), complex(beta[0]))
+
+
+def _unit(a: complex, b: complex) -> tuple[complex, complex]:
+    """The pair (a, b) rescaled to |a|^2 + |b|^2 = 1, in scalar arithmetic."""
     # The form is closed under products, so the only drift from SU(2) is
     # in det U = |a|^2 + |b|^2.  Determinants multiply, so one rescale of
     # the root removes the drift of every level below it.
@@ -183,11 +195,13 @@ def _cos_sinc_series(p: np.ndarray, p_max: float) -> tuple[np.ndarray, np.ndarra
     """cos(x) and sin(x)/x at x = sqrt(p), for 0 <= p <= p_max <= _SERIES_MAX_P.
 
     Both are Taylor series in p, summed by Horner's rule to the fewest terms
-    whose first omitted term is below 2**-64 at p_max.
+    whose first omitted term is below 2**-64 at p_max, on one (2, m) array:
+    a cos row and a sinc row.
     """
     terms = bisect.bisect_right(_SERIES_REACH, p_max) + 1
-    cos = np.full_like(p, _COS_SERIES[terms - 1])
-    sinc = np.full_like(p, _SINC_SERIES[terms - 1])
+    cos, sinc = np.empty((2, p.size))
+    cos.fill(_COS_SERIES[terms - 1])
+    sinc.fill(_SINC_SERIES[terms - 1])
     for k in range(terms - 2, -1, -1):
         cos *= p
         cos += _COS_SERIES[k]
@@ -212,16 +226,22 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
     the two rules equal, so it takes the one-point form.  Then alpha =
     cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.
 
-    On a uniform grid a built-in profile's couplings come from
-    core.coupling_grid, which calls no cosine per step; other grids and
-    tabulated profiles use coupling_eval.  If every step of the chunk has
-    p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are their Taylor series in p,
-    cut where the first omitted term at the chunk's largest p is below
-    2**-64 (at most 7 terms), so no step needs a sine or cosine.  A chunk
-    with a larger step takes np.sqrt, np.sin and np.cos.
+    On a constant profile every step of the (uniform) grid is the same, so
+    only step start is computed and its pair is returned repeated; _compose
+    still multiplies every copy.  Otherwise, on a uniform grid a built-in
+    profile's couplings come from core.coupling_grid, which calls no cosine
+    per step; other grids and tabulated profiles use coupling_eval.  If
+    every step of the chunk has p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are
+    their Taylor series in p, cut where the first omitted term at the
+    chunk's largest p is below 2**-64 (at most 7 terms), so no step needs a
+    sine or cosine.  A chunk with a larger step takes np.sqrt, np.sin and
+    np.cos.
     """
     geom = seg.geom
     profile = seg.profile
+    if profile.kind is ProfileKind.CONSTANT and stop - start > 1:
+        alpha, beta = _steps(seg, grid, start, start + 1, order)
+        return np.full(stop - start, alpha[0]), np.full(stop - start, beta[0])
     edges, counts = grid
     if edges is None and profile.kind is not ProfileKind.TABULATED:
         width = 1.0 / counts
@@ -271,9 +291,9 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
     alpha = np.empty(stop - start, dtype=complex)
     beta = np.empty(stop - start, dtype=complex)
     alpha.real = cos
-    alpha.imag = cz * t
-    beta.real = cy * t
-    beta.imag = cx * t
+    np.multiply(cz, t, out=alpha.imag)
+    np.multiply(cy, t, out=beta.real)
+    np.multiply(cx, t, out=beta.imag)
     return alpha, beta
 
 
@@ -321,7 +341,8 @@ def _refine(grids: list[tuple]) -> list[tuple]:
 def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], order: int) -> np.ndarray:
     """Apply steps of the given order on grids[k] to segment k of the schedule, to psi."""
     # Each chunk of at most _CHUNK steps reduces to one factor; the chunk
-    # factors then reduce through the same kernel, in the order applied.
+    # factors then reduce through the same kernel, in the order applied.  A
+    # lone factor is only rescaled again, as that kernel's last step would.
     factors = []
     for seg, grid in zip(schedule.segments, grids):
         edges, counts = grid
@@ -329,7 +350,10 @@ def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], ord
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             factors.append(_compose(*_steps(seg, grid, start, stop, order)))
-    a, b = _compose(*(np.array(column) for column in zip(*factors)))
+    if len(factors) == 1:
+        a, b = _unit(*factors[0])
+    else:
+        a, b = _compose(*(np.array(column) for column in zip(*factors)))
     return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: brute-force integral references and geometry sampling."""
+"""Shared test utilities: brute-force references, an older oracle kernel, and geometry sampling."""
 
+import bisect
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from protspin import (
     CouplingProfile,
     HamiltonianSchedule,
     MeasurementGeometry,
+    ProfileKind,
     SpinState,
     coupling_eval,
     oracle,
 )
+from protspin.core import coupling_grid
 
 
 def simpson_phased_integral(profile, omega0T, n=2**16):
@@ -124,3 +127,102 @@ def random_geometries(rng, count, xi_max=2.0, omega_max=1.0e3):
             )
         )
     return out
+
+
+# The oracle's chunk kernel as it was before constant segments computed one
+# step per chunk and the kernel cut its temporaries: every step computed on
+# its own, two Horner arrays, products and sums in fresh arrays, and the
+# chunk factors always reduced through reference_compose.  The library must
+# match it bit for bit.
+def reference_compose(alpha, beta):
+    while alpha.size > 1:
+        m = alpha.size // 2
+        a1, a2 = alpha[0:2 * m:2], alpha[1:2 * m:2]
+        b1, b2 = beta[0:2 * m:2], beta[1:2 * m:2]
+        head_a = a2 * a1 - b2 * np.conjugate(b1)
+        head_b = a2 * b1 + b2 * np.conjugate(a1)
+        if alpha.size % 2:
+            head_a = np.append(head_a, alpha[-1])
+            head_b = np.append(head_b, beta[-1])
+        alpha, beta = head_a, head_b
+    a, b = complex(alpha[0]), complex(beta[0])
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    return a / norm, b / norm
+
+
+def reference_cos_sinc_series(p, p_max):
+    terms = bisect.bisect_right(oracle._SERIES_REACH, p_max) + 1
+    cos = np.full_like(p, oracle._COS_SERIES[terms - 1])
+    sinc = np.full_like(p, oracle._SINC_SERIES[terms - 1])
+    for k in range(terms - 2, -1, -1):
+        cos *= p
+        cos += oracle._COS_SERIES[k]
+        sinc *= p
+        sinc += oracle._SINC_SERIES[k]
+    return cos, sinc
+
+
+def reference_steps(seg, grid, start, stop, order):
+    geom = seg.geom
+    profile = seg.profile
+    edges, counts = grid
+    if edges is None and profile.kind is not ProfileKind.TABULATED:
+        width = 1.0 / counts
+
+        def coupling(offset):
+            return coupling_grid(profile, counts, start, stop, offset) * geom.xi
+    else:
+        left, width = oracle._step_edges(edges, counts, start, stop)
+
+        def coupling(offset):
+            return coupling_eval(profile, left + offset * width) * geom.xi
+
+    half = 0.5 * geom.omega0T * width
+    sin_g = math.sin(geom.gamma)
+    nx = sin_g * math.cos(geom.eta)
+    ny = sin_g * math.sin(geom.eta)
+    nz = math.cos(geom.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order == 2 or profile.kind is ProfileKind.CONSTANT:
+            g = coupling(0.5)
+            cx = (half * nx) * g
+            cy = (half * ny) * g
+        else:
+            g1 = coupling(0.5 - oracle._GAUSS_OFFSET)
+            g2 = coupling(0.5 + oracle._GAUSS_OFFSET)
+            g = 0.5 * (g1 + g2)
+            w = (oracle._GAUSS_OFFSET * half * half) * (g2 - g1)
+            cx = (half * nx) * g - ny * w
+            cy = (half * ny) * g + nx * w
+        cz = half * (1.0 + g * nz)
+        p = cx * cx
+        p += cy * cy
+        p += cz * cz
+        p_max = float(p.max())
+    if not math.isfinite(p_max):
+        raise oracle._overflow(geom)
+    if p_max <= oracle._SERIES_MAX_P:
+        cos, t = reference_cos_sinc_series(p, p_max)
+    else:
+        phi = np.sqrt(p)
+        cos = np.cos(phi)
+        t = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
+    alpha = np.empty(stop - start, dtype=complex)
+    beta = np.empty(stop - start, dtype=complex)
+    alpha.real = cos
+    alpha.imag = cz * t
+    beta.real = cy * t
+    beta.imag = cx * t
+    return alpha, beta
+
+
+def reference_run(schedule, psi, grids, order):
+    factors = []
+    for seg, grid in zip(schedule.segments, grids):
+        edges, counts = grid
+        total = counts if edges is None else int(counts.sum())
+        for start in range(0, total, oracle._CHUNK):
+            stop = min(start + oracle._CHUNK, total)
+            factors.append(reference_compose(*reference_steps(seg, grid, start, stop, order)))
+    a, b = reference_compose(*(np.array(column) for column in zip(*factors)))
+    return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])

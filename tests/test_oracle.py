@@ -30,7 +30,7 @@ from protspin import (
     survival_split,
 )
 from protspin.core import coupling_grid
-from helpers import propagate_midpoint, random_geometries, richardson_minus
+from helpers import propagate_midpoint, random_geometries, reference_run, richardson_minus
 
 # A normalized state other than |+> or |->.
 MIXED_STATE = SpinState(0.6 + 0.0j, 0.48 + 0.64j)
@@ -489,6 +489,102 @@ class TestKernel:
             assert abs(fwd.norm() - 1.0) < 1e-14
             assert abs(back.c_plus - MIXED_STATE.c_plus) < 1e-12
             assert abs(back.c_minus - MIXED_STATE.c_minus) < 1e-12
+
+    def test_constant_segment_computes_one_step(self, monkeypatch):
+        sizes = []
+        series = oracle._cos_sinc_series
+
+        def spy(p, p_max):
+            sizes.append(p.size)
+            return series(p, p_max)
+
+        def counted(func):
+            def wrapper(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return func(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_cos_sinc_series", spy)
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        constant = CouplingProfile.constant()
+        # 20 takes the series, 3e4 the sine and cosine
+        for omega0T in (20.0, 3e4):
+            geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+            crosscheck(geom, constant)
+            propagate(HamiltonianSchedule.single(geom, constant), SpinState.plus(), steps=2**15)
+        assert sizes and set(sizes) == {1}
+
+
+# Equally spaced knots: the tabulated profile steps on the uniform grid.
+_EVEN_KNOTS = [k / 128 for k in range(129)]
+_EVEN_VALUES = [1.0 + math.cos(2.0 * math.pi * (s - 0.5)) for s in _EVEN_KNOTS]
+_EVEN_AREA = math.fsum(0.5 * (u + v) / 128 for u, v in zip(_EVEN_VALUES, _EVEN_VALUES[1:]))
+EVEN_TABULATED = CouplingProfile.tabulated([(s, v / _EVEN_AREA) for s, v in zip(_EVEN_KNOTS, _EVEN_VALUES)])
+BIT_PROFILES = [CouplingProfile.constant(), *KERNEL_PROFILES[:2], EVEN_TABULATED, UNEVEN_TABULATED]
+BIT_STEPS = (1, 2, 3, 255, 2**14 - 1, 2**14, 2**14 + 1, 2**15 + 3)
+
+
+def profile_id(profile):
+    return profile.kind.value if profile.samples is None else f"{profile.kind.value}-{len(profile.samples)}"
+
+
+def same_bits(x, y):
+    return repr(x.tolist()) == repr(y.tolist())
+
+
+class TestKernelBits:
+    """The chunk kernel returns the bits of the reference copy in helpers."""
+
+    def assert_same_bits(self, sched, order):
+        for steps in BIT_STEPS:
+            grids = oracle._grids(sched, steps)
+            out = oracle._run(sched, MIXED_STATE.as_array(), grids, order)
+            assert same_bits(out, reference_run(sched, MIXED_STATE.as_array(), grids, order)), steps
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("omega0T", [20.0, 400.0, 3e4])
+    @pytest.mark.parametrize("profile", BIT_PROFILES, ids=profile_id)
+    def test_single_segment(self, profile, omega0T, order):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+        self.assert_same_bits(HamiltonianSchedule.single(geom, profile), order)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_constant_leg_then_driven_leg(self, order):
+        constant_leg = MeasurementGeometry(xi=0.4, gamma=0.7, eta=0.2, omega0T=300.0)
+        driven_leg = MeasurementGeometry(xi=0.3, gamma=2.2, eta=1.9, omega0T=50.0)
+        sched = HamiltonianSchedule((
+            Segment(constant_leg, CouplingProfile.constant()),
+            Segment(driven_leg, CouplingProfile.raised_cosine()),
+        ))
+        self.assert_same_bits(sched, order)
+
+    def test_cases_reach_the_series_and_the_trig_branch(self, monkeypatch):
+        calls = {"steps": 0, "series": 0}
+        kernel, series = oracle._steps, oracle._cos_sinc_series
+
+        def count(key, func):
+            def wrapper(*args):
+                calls[key] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_steps", count("steps", kernel))
+        monkeypatch.setattr(oracle, "_cos_sinc_series", count("series", series))
+        for omega0T in (20.0, 400.0, 3e4):
+            geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+            sched = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
+            for steps in BIT_STEPS:
+                oracle._run(sched, MIXED_STATE.as_array(), oracle._grids(sched, steps), 2)
+        assert 0 < calls["series"] < calls["steps"]
+
+    def test_constant_crosscheck(self, monkeypatch):
+        geoms = random_geometries(np.random.default_rng(20), 200, omega_max=3e4)
+        constant = CouplingProfile.constant()
+        reports = [crosscheck(geom, constant) for geom in geoms]
+        monkeypatch.setattr(oracle, "_run", reference_run)
+        for geom, report in zip(geoms, reports):
+            assert repr(report) == repr(crosscheck(geom, constant)), geom
 
 
 class TestStaticFastPath:
