@@ -159,11 +159,7 @@ def _compose(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:
             head_a = np.append(head_a, alpha[-1])
             head_b = np.append(head_b, beta[-1])
         alpha, beta = head_a, head_b
-    return _unit(complex(alpha[0]), complex(beta[0]))
-
-
-def _unit(a: complex, b: complex) -> tuple[complex, complex]:
-    """The pair (a, b) rescaled to |a|^2 + |b|^2 = 1, in scalar arithmetic."""
+    a, b = complex(alpha[0]), complex(beta[0])
     # The form is closed under products, so the only drift from SU(2) is
     # in det U = |a|^2 + |b|^2.  Determinants multiply, so one rescale of
     # the root removes the drift of every level below it.
@@ -341,8 +337,7 @@ def _refine(grids: list[tuple]) -> list[tuple]:
 def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], order: int) -> np.ndarray:
     """Apply steps of the given order on grids[k] to segment k of the schedule, to psi."""
     # Each chunk of at most _CHUNK steps reduces to one factor; the chunk
-    # factors then reduce through the same kernel, in the order applied.  A
-    # lone factor is only rescaled again, as that kernel's last step would.
+    # factors then reduce through the same kernel, in the order applied.
     factors = []
     for seg, grid in zip(schedule.segments, grids):
         edges, counts = grid
@@ -350,10 +345,7 @@ def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], ord
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             factors.append(_compose(*_steps(seg, grid, start, stop, order)))
-    if len(factors) == 1:
-        a, b = _unit(*factors[0])
-    else:
-        a, b = _compose(*(np.array(column) for column in zip(*factors)))
+    a, b = _compose(*(np.array(column) for column in zip(*factors)))
     return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
 
 
