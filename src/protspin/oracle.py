@@ -26,7 +26,10 @@ chunks of 1024 steps and more, combines two tables of about sqrt(steps)
 cosines by angle addition instead of taking a cosine per step.  On a
 constant profile all steps of a segment are equal, so a chunk computes one
 and repeats it; the reduction still multiplies every copy, so the product
-has the same bits as one built from steps computed one by one.
+has the same bits as one built from steps computed one by one.  The full
+chunks of such a segment are then equal too, so a run reduces the first
+once and takes its factor for every other; only a shorter last chunk is
+reduced on its own.
 
 Steps are equal within a segment, except on a tabulated profile: there every
 knot is a step edge and each knot interval is split into equal steps, its
@@ -335,14 +338,23 @@ def _refine(grids: list[tuple]) -> list[tuple]:
 
 
 def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], order: int) -> np.ndarray:
-    """Apply steps of the given order on grids[k] to segment k of the schedule, to psi."""
-    # Each chunk of at most _CHUNK steps reduces to one factor; the chunk
-    # factors then reduce through the same kernel, in the order applied.
+    """Apply steps of the given order on grids[k] to segment k of the schedule, to psi.
+
+    Each chunk of at most _CHUNK steps reduces to one factor, and the chunk
+    factors then reduce through the same kernel, in the order applied.  A
+    constant segment's full chunks hold the same steps, so its first full
+    chunk is reduced once and that factor is listed for each of them; a
+    shorter last chunk is reduced on its own.  The factor list, hence the
+    product, has the bits of one with every chunk reduced.
+    """
     factors = []
     for seg, grid in zip(schedule.segments, grids):
         edges, counts = grid
         total = counts if edges is None else int(counts.sum())
-        for start in range(0, total, _CHUNK):
+        full = total // _CHUNK if seg.profile.kind is ProfileKind.CONSTANT else 0
+        if full:
+            factors += [_compose(*_steps(seg, grid, 0, _CHUNK, order))] * full
+        for start in range(full * _CHUNK, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             factors.append(_compose(*_steps(seg, grid, start, stop, order)))
     a, b = _compose(*(np.array(column) for column in zip(*factors)))

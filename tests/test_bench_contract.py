@@ -3,9 +3,10 @@
 bench/workloads.py is imported as it stands (no bytecode is written under
 bench/).  For every workload BENCHMARK.json declares, at seed 1: the inputs
 are built in a temporary directory, the references computed, every job of
-the seeded list run once, and then a corrupted reference must make job 0
-fail its check.  A change to the library's API or output that would fail
-the benchmark's jobs fails here first.
+the seeded list run once, its crosscheck calls must take the benchmark's
+step total, and then a corrupted reference must make job 0 fail its check.
+A change to the library's API or output that would fail the benchmark's
+jobs fails here first.
 """
 
 import collections
@@ -23,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SEED = 1
 NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# Midpoint steps the seed-1 job list's crosscheck calls take in all, a
+# per-layer metric of the benchmark; a workload absent here calls none.
+CROSSCHECK_STEPS = {"static-oracle": 196608, "driven-oracle": 884736}
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +52,7 @@ def test_every_job_passes_and_a_corrupt_reference_fails(workloads, name, tmp_pat
     stats = collections.Counter()
     for i in range(workload.size):
         workload.run_job(i, call, stats)
+    assert stats["oracle.crosscheck.steps_used"] == CROSSCHECK_STEPS.get(name, 0)
     workload.corrupt()
     with pytest.raises(workloads.CheckFailed):
         workload.run_job(0, call, stats)

@@ -523,6 +523,8 @@ _EVEN_AREA = math.fsum(0.5 * (u + v) / 128 for u, v in zip(_EVEN_VALUES, _EVEN_V
 EVEN_TABULATED = CouplingProfile.tabulated([(s, v / _EVEN_AREA) for s, v in zip(_EVEN_KNOTS, _EVEN_VALUES)])
 BIT_PROFILES = [CouplingProfile.constant(), *KERNEL_PROFILES[:2], EVEN_TABULATED, UNEVEN_TABULATED]
 BIT_STEPS = (1, 2, 3, 255, 2**14 - 1, 2**14, 2**14 + 1, 2**15 + 3)
+# Several full chunks and a tail; full chunks only.
+LONG_STEPS = (3 * 2**14 + 1, 2**17)
 
 
 def profile_id(profile):
@@ -536,8 +538,8 @@ def same_bits(x, y):
 class TestKernelBits:
     """The chunk kernel returns the bits of the reference copy in helpers."""
 
-    def assert_same_bits(self, sched, order):
-        for steps in BIT_STEPS:
+    def assert_same_bits(self, sched, order, step_counts=BIT_STEPS):
+        for steps in step_counts:
             grids = oracle._grids(sched, steps)
             out = oracle._run(sched, MIXED_STATE.as_array(), grids, order)
             assert same_bits(out, reference_run(sched, MIXED_STATE.as_array(), grids, order)), steps
@@ -547,17 +549,33 @@ class TestKernelBits:
     @pytest.mark.parametrize("profile", BIT_PROFILES, ids=profile_id)
     def test_single_segment(self, profile, omega0T, order):
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
-        self.assert_same_bits(HamiltonianSchedule.single(geom, profile), order)
+        steps = BIT_STEPS + LONG_STEPS if profile.kind is ProfileKind.CONSTANT else BIT_STEPS
+        self.assert_same_bits(HamiltonianSchedule.single(geom, profile), order, steps)
+
+    @staticmethod
+    def constant_and_driven_legs():
+        constant_leg = MeasurementGeometry(xi=0.4, gamma=0.7, eta=0.2, omega0T=300.0)
+        driven_leg = MeasurementGeometry(xi=0.3, gamma=2.2, eta=1.9, omega0T=50.0)
+        return (
+            Segment(constant_leg, CouplingProfile.constant()),
+            Segment(driven_leg, CouplingProfile.raised_cosine()),
+        )
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_constant_leg_then_driven_leg(self, order):
-        constant_leg = MeasurementGeometry(xi=0.4, gamma=0.7, eta=0.2, omega0T=300.0)
-        driven_leg = MeasurementGeometry(xi=0.3, gamma=2.2, eta=1.9, omega0T=50.0)
-        sched = HamiltonianSchedule((
-            Segment(constant_leg, CouplingProfile.constant()),
-            Segment(driven_leg, CouplingProfile.raised_cosine()),
-        ))
-        self.assert_same_bits(sched, order)
+        sched = HamiltonianSchedule(self.constant_and_driven_legs())
+        self.assert_same_bits(sched, order, BIT_STEPS + LONG_STEPS)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_driven_leg_then_constant_leg(self, order):
+        sched = HamiltonianSchedule(self.constant_and_driven_legs()[::-1])
+        self.assert_same_bits(sched, order, LONG_STEPS)
+
+    def test_three_field_succession(self):
+        sched = successive_schedule(three_field_config(21.0))
+        grids = oracle._grids(sched, 2**17)
+        out = propagate(sched, MIXED_STATE, steps=2**17).as_array()
+        assert same_bits(out, reference_run(sched, MIXED_STATE.as_array(), grids, 4))
 
     def test_cases_reach_the_series_and_the_trig_branch(self, monkeypatch):
         calls = {"steps": 0, "series": 0}
@@ -585,6 +603,35 @@ class TestKernelBits:
         monkeypatch.setattr(oracle, "_run", reference_run)
         for geom, report in zip(geoms, reports):
             assert repr(report) == repr(crosscheck(geom, constant)), geom
+
+    def test_constant_segment_reduces_one_full_chunk_per_run(self, monkeypatch):
+        full_chunks = []
+        compose = oracle._compose
+
+        def spy(alpha, beta):
+            full_chunks.append(alpha.size == oracle._CHUNK)
+            return compose(alpha, beta)
+
+        monkeypatch.setattr(oracle, "_compose", spy)
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=400.0)
+        constant = CouplingProfile.constant()
+        # runs of 2**14 and 2**15 midpoint steps, one full chunk reduced in each
+        assert crosscheck(geom, constant).steps_used == 2**15
+        assert sum(full_chunks) == 2
+        for sched, steps in (
+            (HamiltonianSchedule.single(geom, constant), 2**20),
+            (HamiltonianSchedule(self.constant_and_driven_legs()), 3 * 2**14 + 1),
+            (HamiltonianSchedule(self.constant_and_driven_legs()[::-1]), 2**17),
+            (successive_schedule(three_field_config(21.0)), 2**17),
+        ):
+            # one reduction per constant segment, every full chunk of a driven one
+            expected = 0
+            for seg, (_, counts) in zip(sched.segments, oracle._grids(sched, steps)):
+                full = counts // oracle._CHUNK
+                expected += min(full, 1) if seg.profile.kind is ProfileKind.CONSTANT else full
+            full_chunks.clear()
+            propagate(sched, MIXED_STATE, steps=steps)
+            assert sum(full_chunks) == expected, steps
 
 
 class TestStaticFastPath:
