@@ -57,6 +57,8 @@ from .reconstruct import (
 
 # sweep axis -> header of its column
 _AXES = {"xi": "xi", "gamma": "gamma_deg", "omega0T": "omega0T"}
+# coupling ratio's grid options -> their defaults; coupling shape takes none
+_RATIO_GRID = {"min": MIN_SMOOTH_OMEGA0T, "max": 4000.0, "spacing": "log"}
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -81,10 +83,6 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(item) for item in value]
     return value
-
-
-def _json_table(header: list[str], rows: list[list[float]]) -> str:
-    return _json_text({"columns": header, "rows": rows})
 
 
 def _flatten(record: dict, prefix: str = ""):
@@ -117,11 +115,11 @@ def _emit(text: str, output: str | None):
 
 def _emit_table(args, header, rows):
     if args.format == "json":
-        text = _json_table(header, rows)
+        text = _json_text({"columns": header, "rows": rows})
     else:
         text = _csv_text(header, rows)
     _emit(text, args.output)
-    if args.gnuplot and args.output and args.format == "csv":
+    if args.gnuplot:
         _emit(_gnuplot_stub(args.output, header), args.output + ".gp")
 
 
@@ -240,8 +238,13 @@ def cmd_sweep(args) -> int:
     for name in ("xi", "gamma"):
         if args.axis != name and getattr(args, name) is None:
             raise ValueError(f"--{name} is required unless it is the sweep axis")
+    if getattr(args, args.axis) is not None:
+        raise ValueError(f"--{args.axis} is the sweep axis, which --min and --max span")
+    if args.omega0T is not None and not needs_omega:
+        raise ValueError(f"--omega0T is read by none of the methods {', '.join(methods)}")
+    if args.steps is not None and "oracle" not in methods:
+        raise ValueError("--steps sets the oracle's step count, and no oracle column is requested")
 
-    eta = math.radians(args.eta)
     header = [_AXES[args.axis]] + [f"p_minus_{m.replace('-', '_')}" for m in methods]
     probabilities = [_SWEEP_METHODS[m][0] for m in methods]
     rows = []
@@ -249,7 +252,7 @@ def cmd_sweep(args) -> int:
         xi = value if args.axis == "xi" else args.xi
         gamma = math.radians(value) if args.axis == "gamma" else math.radians(args.gamma)
         omega0T = value if args.axis == "omega0T" else (args.omega0T or 0.0)
-        geom = MeasurementGeometry(xi=xi, gamma=gamma, eta=eta, omega0T=omega0T)
+        geom = MeasurementGeometry(xi=xi, gamma=gamma, omega0T=omega0T)
         rows.append([value] + [p(geom, profile, args.steps) for p in probabilities])
     _emit_table(args, header, rows)
     return 0
@@ -257,19 +260,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_coupling(args) -> int:
     if args.what == "shape":
-        if args.count < 2:
-            raise ValueError(f"count must be >= 2, got {args.count}")
-        grid = np.linspace(0.0, 1.0, args.count)
+        if given := [f"--{name}" for name in _RATIO_GRID if getattr(args, name) is not None]:
+            raise ValueError(f"coupling shape takes no {', '.join(given)}; they set the ratio grid")
+        args.min, args.max, args.spacing = 0.0, 1.0, "linear"
         profiles = [make() for make in _PROFILE_NAMES.values()]
         header = ["t_over_T"] + [name.replace("-", "_") for name in _PROFILE_NAMES]
-        rows = [
-            [float(s)] + [float(coupling_eval(p, float(s))) for p in profiles]
-            for s in grid
-        ]
+        rows = [[s] + [float(coupling_eval(p, s)) for p in profiles] for s in _axis_grid(args)]
         _emit_table(args, header, rows)
         return 0
 
     # suppression-ratio table
+    for name, default in _RATIO_GRID.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.min < MIN_SMOOTH_OMEGA0T - 1e-12:
         raise ValueError(
             f"suppression ratios are only defined for omega0T >= 4*pi "
@@ -286,6 +289,8 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_multi(args) -> int:
+    if args.steps is not None and not args.oracle:
+        raise ValueError("--steps sets the oracle's step count, so it needs --oracle")
     fields = tuple(
         FieldSpec(
             xi=args.xi[k],
@@ -326,11 +331,7 @@ def cmd_multi(args) -> int:
 
 
 def cmd_reversal(args) -> int:
-    gamma = math.radians(args.gamma)
-    eta = math.radians(args.eta)
-    geom = MeasurementGeometry(
-        xi=args.xi, gamma=gamma, eta=eta, omega0T=args.omega0T or 0.0
-    )
+    geom = MeasurementGeometry(xi=args.xi, gamma=math.radians(args.gamma), omega0T=args.omega0T or 0.0)
     exact, leading = reversal_probability(geom)
     record = {
         "xi": args.xi,
@@ -352,6 +353,8 @@ def cmd_reconstruct(args) -> int:
     if args.expectations is not None and args.gamma is not None:
         raise ValueError("pass either --gamma or --expectations, not both")
     if args.expectations is not None:
+        if args.eta is not None:
+            raise ValueError("--eta is the corrupted mode's azimuth; --expectations takes none")
         triple = ExpectationTriple(
             directions=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
             values=tuple(args.expectations),
@@ -364,11 +367,12 @@ def cmd_reconstruct(args) -> int:
             "rho": result.rho.as_dict(),
         }
     elif args.gamma is not None:
-        rho, fid = corrupted_reconstruction(math.radians(args.gamma), math.radians(args.eta))
+        eta = 0.0 if args.eta is None else args.eta
+        rho, fid = corrupted_reconstruction(math.radians(args.gamma), math.radians(eta))
         record = {
             "mode": "corrupted",
             "gamma_deg": args.gamma,
-            "eta_deg": args.eta,
+            "eta_deg": eta,
             "fidelity": fid,
             "rho": rho.as_dict(),
         }
@@ -497,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     p.add_argument("--xi", type=float)
     p.add_argument("--gamma", type=float, help="polar angle in degrees")
-    p.add_argument("--eta", type=float, default=0.0, help="azimuth in degrees")
     p.add_argument("--omega0T", type=float)
     p.add_argument("--methods", default="envelope",
                    help=f"comma list of {','.join(_SWEEP_METHODS)} or 'all'")
@@ -511,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coupling", parents=[common], help="profile shapes and suppression ratios")
     p.add_argument("what", choices=("shape", "ratio"))
     p.add_argument("--count", type=int, default=201)
-    p.add_argument("--min", type=float, default=MIN_SMOOTH_OMEGA0T)
-    p.add_argument("--max", type=float, default=4000.0)
-    p.add_argument("--spacing", choices=("linear", "log"), default="log")
+    p.add_argument("--min", type=float)
+    p.add_argument("--max", type=float)
+    p.add_argument("--spacing", choices=("linear", "log"))
     p.add_argument("--gnuplot", action="store_true", help="also write <output>.gp")
     p.set_defaults(func=cmd_coupling, table=True)
 
@@ -534,14 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reversal", parents=[common], help="momentum-reversal probability")
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True, help="polar angle in degrees")
-    p.add_argument("--eta", type=float, default=0.0, help="azimuth in degrees")
     p.add_argument("--omega0T", type=float, default=None,
                    help="include branch amplitudes at this omega0T")
     p.set_defaults(func=cmd_reversal, table=False)
 
     p = sub.add_parser("reconstruct", parents=[common], help="Bloch inversion")
     p.add_argument("--gamma", type=float, help="corrupted mode: third-axis polar angle, degrees")
-    p.add_argument("--eta", type=float, default=0.0, help="azimuth in degrees")
+    p.add_argument("--eta", type=float, help="azimuth in degrees")
     p.add_argument("--expectations", type=float, nargs=3, metavar=("E1", "E2", "E3"),
                    help="axes mode: expectation values along x, y, z")
     p.set_defaults(func=cmd_reconstruct, table=False)
@@ -581,6 +583,8 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "csv" if args.table else "json"
     try:
+        if args.table and args.gnuplot and not (args.output and args.format == "csv"):
+            raise ValueError("--gnuplot writes <output>.gp beside CSV, so it needs --output and CSV")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,16 @@ class ProfileKind(enum.Enum):
     TABULATED = "tabulated"
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and 0.0 <= gamma <= math.pi):
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
+
+
+def _check_omega0T(omega0T: float) -> None:
+    if not (math.isfinite(omega0T) and omega0T >= 0.0):
+        raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementGeometry:
     """Dimensionless parameters of a single protective measurement.
@@ -80,12 +90,10 @@ class MeasurementGeometry:
     def __post_init__(self):
         if not (math.isfinite(self.xi) and self.xi >= 0.0):
             raise ValueError(f"xi must be finite and >= 0, got {self.xi!r}")
-        if not (math.isfinite(self.gamma) and 0.0 <= self.gamma <= math.pi):
-            raise ValueError(f"gamma must lie in [0, pi], got {self.gamma!r}")
+        _check_gamma(self.gamma)
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta!r}")
-        if not (math.isfinite(self.omega0T) and self.omega0T >= 0.0):
-            raise ValueError(f"omega0T must be finite and >= 0, got {self.omega0T!r}")
+        _check_omega0T(self.omega0T)
         object.__setattr__(self, "eta", self.eta % TWO_PI)
 
 
@@ -442,8 +450,7 @@ def phased_integral(profile: CouplingProfile, omega0T: float) -> complex:
     are piecewise linear, and their integral is the exact per-interval
     closed form: exact up to rounding at any omega0T, at O(knots) cost.
     """
-    if not (math.isfinite(omega0T) and omega0T >= 0.0):
-        raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
+    _check_omega0T(omega0T)
     if profile.kind is ProfileKind.TABULATED:
         return _knot_integral(profile, float(omega0T))
     x = 0.5 * float(omega0T)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MeasurementGeometry
+from .core import MeasurementGeometry, _check_gamma
 from .exact import amplitude_envelope, probability_taylor, xi_bound
 
 BOLTZMANN = 1.380649e-23          # J/K
@@ -69,8 +69,7 @@ class LabParameters:
             value = getattr(self, name)
             if name != "gamma" and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.gamma) and 0.0 <= self.gamma <= math.pi):
-            raise ValueError(f"gamma must lie in [0, pi], got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
     @classmethod
     def potassium(

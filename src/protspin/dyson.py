@@ -49,12 +49,6 @@ class FirstOrderResult:
     profile_kind: ProfileKind
 
 
-def _tabulated_l1_bound(profile: CouplingProfile) -> float:
-    # Trapezoid of |gT| over the knots, stored at construction; >= int |gT|
-    # by convexity of |.|, hence still a valid envelope factor.
-    return profile._panels.abs_area
-
-
 def _envelope_bound(profile: CouplingProfile, geom: MeasurementGeometry) -> float:
     x = 0.5 * geom.omega0T
     base = geom.xi * math.sin(geom.gamma)
@@ -69,7 +63,9 @@ def _envelope_bound(profile: CouplingProfile, geom: MeasurementGeometry) -> floa
         denom = abs(x * x - pi_sq) * abs(x * x - 4.0 * pi_sq)
         factor = x if denom == 0.0 else min(x, 4.0 * pi_sq * pi_sq / denom)
         return base * factor
-    return base * x * _tabulated_l1_bound(profile)
+    # Trapezoid of |gT| over the knots, stored at construction; >= int |gT|
+    # by convexity of |.|, hence still a valid envelope factor.
+    return base * x * profile._panels.abs_area
 
 
 def first_order_amplitude(profile: CouplingProfile, geom: MeasurementGeometry) -> FirstOrderResult:

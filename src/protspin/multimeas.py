@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _unit_vector, sinc
+from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _check_omega0T, _unit_vector, sinc
 from .oracle import HamiltonianSchedule, Segment
 
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -47,8 +47,7 @@ class MultiFieldConfig:
         if len(fields) != 3:
             raise ValueError(f"exactly three fields required, got {len(fields)}")
         object.__setattr__(self, "fields", fields)
-        if not (math.isfinite(self.omega0T) and self.omega0T >= 0.0):
-            raise ValueError(f"omega0T must be finite and >= 0, got {self.omega0T!r}")
+        _check_omega0T(self.omega0T)
         u, v, w = (_unit_vector(f.gamma, f.eta) for f in fields)
         worst = max(
             abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _unit_vector
+from .core import _check_gamma, _unit_vector
 from .oracle import SpinState
 
 ORTHONORMALITY_TOLERANCE = 1e-9
@@ -192,8 +192,7 @@ def corrupted_reconstruction(gamma: float, eta: float = 0.0) -> tuple[DensityMat
     reconstructed Bloch vector to r = e_z - 2 cos(gamma) n_3, still a pure
     state, whose fidelity against |+> is sin(gamma).
     """
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= math.pi):
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
+    _check_gamma(gamma)
     n1, n2, n3 = _triple(gamma, eta)
     triple = ExpectationTriple(directions=(n1, n2, n3), values=(n1[2], n2[2], -n3[2]))
     result = reconstruct_state(triple)

@@ -1,11 +1,14 @@
 """Freeze the CLI's exit code, stdout, stderr and written files, case by case.
 
     python3 tests/make_cli_golden.py
+    python3 tests/make_cli_golden.py --check
 
 Rewrites tests/data/cli_golden.json from the current code, and
 tests/test_cli.py replays every case through ``cli.main`` and compares the
 bytes.  Regenerate the file only in a change that intends to change the CLI's
-output, and say so in CHANGES.md.
+output, and say so in CHANGES.md.  ``--check`` writes nothing: it prints each
+case whose exit, stdout, stderr or written files differ from the file (or
+that only one side has), and exits 1 if any does.
 
 Each case runs in a fresh directory that holds the input files of ``FILES``,
 so tabulated profiles and lab configs are named by relative path and every
@@ -15,6 +18,7 @@ formatted at a fixed width of 80 columns.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -83,9 +87,8 @@ CASES = [
     "",
     "frobnicate",
     # sweep: every method, axis, profile and format
-    "sweep --axis xi --min 0 --max 0.9 --count 4 --gamma 60 --eta 30 --omega0T 12 --methods all",
-    "sweep --axis xi --min 0 --max 0.9 --count 4 --gamma 60 --eta 30 --omega0T 12 --methods all "
-    "--format json",
+    "sweep --axis xi --min 0 --max 0.9 --count 4 --gamma 60 --omega0T 12 --methods all",
+    "sweep --axis xi --min 0 --max 0.9 --count 4 --gamma 60 --omega0T 12 --methods all --format json",
     "sweep --axis gamma --min 0 --max 180 --count 7 --xi 0.4 --methods taylor",
     "sweep --axis gamma --min 10 --max 170 --count 5 --xi 0.4 --methods envelope,taylor --format json",
     "sweep --axis omega0T --min 13 --max 1300 --count 5 --spacing log --xi 0.2 --gamma 70 "
@@ -169,7 +172,7 @@ CASES = [
     "multi --omega0T 5 --xi 0.1 0.1",
     # reversal
     "reversal --xi 0.2 --gamma 90",
-    "reversal --xi 0.2 --gamma 90 --eta 40 --omega0T 11 --format csv",
+    "reversal --xi 0.2 --gamma 90 --omega0T 11 --format csv",
     "reversal --xi 1.5 --gamma 30 --omega0T 7",
     "reversal --xi 0.3 --gamma 0",
     "reversal --xi -0.2 --gamma 90",
@@ -252,6 +255,21 @@ CASES = [
     "multi --omega0T 3.595386269724632e228 --xi 0 0 1e80",
     "multi --omega0T 1.7e308 --xi 1 2 1e200",
     "multi --omega0T 2 --xi 1.7e308 1.7e308 0",
+    # options a run would ignore are refused: the azimuth, which no
+    # single-field weight reads, is gone from sweep and reversal
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --eta 30",
+    "reversal --xi 0.2 --gamma 90 --eta 40",
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --steps 16",
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --xi 0.5",
+    "sweep --axis gamma --min 0 --max 90 --count 3 --xi 0.1 --gamma 45",
+    "sweep --axis omega0T --min 1 --max 10 --count 3 --xi 0.1 --gamma 90 --omega0T 5 --methods exact",
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --omega0T 7 --methods envelope",
+    f"{_MULTI} --steps 16",
+    "coupling shape --min 50 --max 60 --spacing linear",
+    "coupling shape --count 5 --spacing log",
+    "coupling shape --count 5 --output shape.json --format json --gnuplot",
+    "coupling ratio --count 3 --gnuplot",
+    "reconstruct --expectations 0 0 1 --eta 30",
     # the oracle where a step's exponent overflows: static, then driven
     "sweep --axis xi --min 1e308 --max 1.7e308 --count 2 --gamma 90 --omega0T 2 --methods oracle",
     "multi --omega0T 2 --xi 1e308 0 0 --oracle",
@@ -294,15 +312,46 @@ def all_argv() -> list[list[str]]:
     return bench + [shlex.split(line) for line in CASES]
 
 
-def main():
+def run_all() -> list[dict]:
     cases = []
     for argv in all_argv():
         with tempfile.TemporaryDirectory() as tmp:
             cases.append(run_case(argv, Path(tmp)))
+    return cases
+
+
+def check(cases: list[dict]) -> int:
+    """Print each case that differs from GOLDEN and what differs; 1 if any does."""
+    frozen = {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+    differ = 0
+    for case in cases:
+        old = frozen.pop(tuple(case["argv"]), None)
+        fields = ["not in the file"] if old is None else [
+            key for key in ("exit", "stdout", "stderr", "written") if case[key] != old[key]
+        ]
+        if fields:
+            differ += 1
+            print(f"{shlex.join(case['argv'])}: {', '.join(fields)}")
+    for argv in frozen:
+        differ += 1
+        print(f"{shlex.join(argv)}: only in the file")
+    print(f"{differ} of {len(cases)} cases differ from {GOLDEN.name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {GOLDEN.name} and write nothing")
+    args = parser.parse_args(argv)
+    cases = run_all()
+    if args.check:
+        return check(cases)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,6 +9,8 @@ import json
 import math
 import os
 import random
+import shlex
+import tempfile
 from decimal import Decimal
 from unittest import mock
 
@@ -356,7 +358,7 @@ class TestStrictJson:
         assert "max_gradient_tesla_per_meter,inf\n" in out
 
     def test_table_writes_non_finite_as_null(self):
-        text = protspin.cli._json_table(["x", "y"], [[1.5, math.inf], [-math.inf, math.nan]])
+        text = protspin.cli._json_text({"columns": ["x", "y"], "rows": [[1.5, math.inf], [-math.inf, math.nan]]})
         assert strict_json(text) == {"columns": ["x", "y"], "rows": [[1.5, None], [None, None]]}
 
     def test_finite_output_is_unchanged(self, capsys):
@@ -494,7 +496,7 @@ class TestTopLevel:
 _READER_ARGV = {
     "sweep": [
         ["--axis", "xi", "--min", "0", "--max", "0.5", "--count", "2", "--spacing", "linear",
-         "--gamma", "90", "--eta", "10", "--omega0T", "5", "--methods", "exact,oracle",
+         "--gamma", "90", "--omega0T", "5", "--methods", "exact,oracle",
          "--profile", "constant", "--steps", "8", "--gnuplot", "--format", "csv"],
         ["--axis", "gamma", "--min", "10", "--max", "20", "--count", "2", "--xi", "0.1"],
     ],
@@ -506,7 +508,7 @@ _READER_ARGV = {
         ["--omega0T", "3", "--xi", "0.1", "0.1", "0.1", "--gamma", "90", "90", "0",
          "--eta", "0", "90", "0", "--relaxed", "--oracle", "--steps", "8"],
     ],
-    "reversal": [["--xi", "0.1", "--gamma", "90", "--eta", "10", "--omega0T", "5"]],
+    "reversal": [["--xi", "0.1", "--gamma", "90", "--omega0T", "5"]],
     "reconstruct": [
         ["--gamma", "45", "--eta", "10"],
         ["--expectations", "0", "0", "1"],
@@ -564,6 +566,115 @@ def test_every_option_is_read(tmp_path):
         if dests - reads:
             unread[command] = sorted(dests - reads)
     assert unread == {}
+
+
+_SWEEP = "sweep --axis xi --min 0.1 --max 0.3 --count 3 --gamma 60"
+_MULTI = "multi --omega0T 21 --xi 0.002 0.0016 0.0012"
+
+# Every option of every subcommand -> runs (argv without the option, the
+# option's words).  Giving the option must change the exit code, stdout or
+# written files of each run: where it is read, or where it is refused.
+_ACTS = {
+    "sweep": {
+        "--output": [(_SWEEP, "--output table.csv")],
+        "--format": [(_SWEEP, "--format json")],
+        "--axis": [("sweep --min 0.1 --max 0.3 --count 2 --gamma 60", "--axis xi")],
+        "--min": [("sweep --axis xi --max 0.3 --count 2 --gamma 60", "--min 0.1")],
+        "--max": [("sweep --axis xi --min 0.1 --count 2 --gamma 60", "--max 0.3")],
+        "--count": [("sweep --axis xi --min 0.1 --max 0.3 --gamma 60", "--count 2")],
+        "--spacing": [(_SWEEP, "--spacing log")],
+        "--xi": [("sweep --axis gamma --min 10 --max 20 --count 2", "--xi 0.1"), (_SWEEP, "--xi 0.5")],
+        "--gamma": [("sweep --axis xi --min 0.1 --max 0.3 --count 2", "--gamma 60"),
+                    ("sweep --axis gamma --min 10 --max 20 --count 2 --xi 0.1", "--gamma 45")],
+        "--omega0T": [(f"{_SWEEP} --methods exact", "--omega0T 5"),
+                      (f"{_SWEEP} --methods envelope", "--omega0T 7")],
+        "--methods": [(_SWEEP, "--methods taylor")],
+        "--profile": [(f"{_SWEEP} --omega0T 20 --methods first-order", "--profile raised-cosine")],
+        "--steps": [(f"{_SWEEP} --omega0T 5 --methods oracle --profile raised-cosine", "--steps 8"),
+                    (_SWEEP, "--steps 16")],
+        "--gnuplot": [(f"{_SWEEP} --output table.csv", "--gnuplot"), (_SWEEP, "--gnuplot"),
+                      (f"{_SWEEP} --output table.json --format json", "--gnuplot")],
+    },
+    "coupling": {
+        "--output": [("coupling shape --count 3", "--output shape.csv")],
+        "--format": [("coupling shape --count 3", "--format json")],
+        "--count": [("coupling shape", "--count 3")],
+        "--min": [("coupling ratio --count 2", "--min 20"), ("coupling shape --count 3", "--min 50")],
+        "--max": [("coupling ratio --count 2", "--max 40"), ("coupling shape --count 3", "--max 60")],
+        "--spacing": [("coupling ratio --count 3", "--spacing linear"),
+                      ("coupling shape --count 3", "--spacing linear")],
+        "--gnuplot": [("coupling ratio --count 2 --output ratio.csv", "--gnuplot"),
+                      ("coupling ratio --count 2", "--gnuplot")],
+    },
+    "multi": {
+        "--output": [(_MULTI, "--output multi.json")],
+        "--format": [(_MULTI, "--format csv")],
+        "--omega0T": [("multi --xi 0.002 0.0016 0.0012", "--omega0T 21")],
+        "--xi": [("multi --omega0T 21", "--xi 0.002 0.0016 0.0012")],
+        "--gamma": [(f"{_MULTI} --relaxed", "--gamma 90 80 0")],
+        "--eta": [(_MULTI, "--eta 90 180 0")],
+        "--relaxed": [("multi --omega0T 5 --xi 0.1 0.1 0.1 --gamma 90 80 0", "--relaxed")],
+        "--oracle": [(_MULTI, "--oracle")],
+        "--steps": [(f"{_MULTI} --oracle", "--steps 16"), (_MULTI, "--steps 16")],
+    },
+    "reversal": {
+        "--output": [("reversal --xi 0.2 --gamma 90", "--output reversal.json")],
+        "--format": [("reversal --xi 0.2 --gamma 90", "--format csv")],
+        "--xi": [("reversal --gamma 90", "--xi 0.2")],
+        "--gamma": [("reversal --xi 0.2", "--gamma 90")],
+        "--omega0T": [("reversal --xi 0.2 --gamma 90", "--omega0T 11")],
+    },
+    "reconstruct": {
+        "--output": [("reconstruct --gamma 45", "--output rho.json")],
+        "--format": [("reconstruct --gamma 45", "--format csv")],
+        "--gamma": [("reconstruct", "--gamma 45")],
+        "--eta": [("reconstruct --gamma 45", "--eta 30"), ("reconstruct --expectations 0 0 1", "--eta 30")],
+        "--expectations": [("reconstruct", "--expectations 0 0 1")],
+    },
+    "design": {
+        "--output": [("design", "--output design.json")],
+        "--format": [("design", "--format csv")],
+        "--config": [("design", "--config explicit_lab.json")],
+        **{flag: [("design", f"{flag} {value}")] for flag, value in (
+            ("--mu", "1.5e-23"), ("--mass", "1e-25"), ("--b0", "2"), ("--grad-b1", "3"),
+            ("--d", "0.2"), ("--t-oven", "400"), ("--gamma", "30"),
+            ("--target-displacement", "5e-4"), ("--p-max", "0.01"),
+        )},
+    },
+    "verify": {
+        "--output": [("verify --cases 1", "--output verify.json")],
+        "--format": [("verify --cases 1", "--format csv")],
+        "--cases": [("verify", "--cases 1")],
+        "--seed": [("verify --cases 1", "--seed 7")],
+        "--exact-tol": [("verify --cases 1", "--exact-tol 1e-9")],
+        "--first-order-tol": [("verify --cases 1", "--first-order-tol 1e-3")],
+    },
+}
+
+
+def test_every_option_acts(tmp_path):
+    """No option is a no-op: each changes some run, and one it refuses names it."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        command: {a.option_strings[-1] for a in sub._actions if a.option_strings and a.dest != "help"}
+        for command, sub in subparsers.items()
+    }
+    assert options == {command: set(runs) for command, runs in _ACTS.items()}
+    for command, runs in _ACTS.items():
+        for option, cases in runs.items():
+            for k, (base, words) in enumerate(cases):
+                results = []
+                for side, argv in enumerate((shlex.split(base), [*shlex.split(base), *shlex.split(words)])):
+                    directory = tmp_path / f"{command}{option}{k}-{side}"
+                    directory.mkdir()
+                    case = run_case(argv, directory)
+                    results.append((case["exit"], case["stdout"], case["written"], case["stderr"]))
+                without, given = results
+                assert given[:3] != without[:3], (base, words)
+                if given[0] == 2 and without[0] == 0:
+                    assert given[3].count("\n") == 1 and option in given[3], (base, words, given[3])
 
 
 @pytest.mark.parametrize(
@@ -686,6 +797,11 @@ _counts = st.sampled_from([-1, 0, 1, 2, 3, 5])
 # one step each (the scalar path) and 16 to five each (the array kernel); on
 # sweep's one segment only 1 is scalar.
 _steps = st.sampled_from([1, 2, 3, 16])
+# a table to stdout or to a file in the example's directory, with or without
+# the gnuplot stub, which needs CSV in a file
+_table_output = st.tuples(
+    st.sampled_from([[], ["--output={dir}/table"]]), st.sampled_from([[], ["--gnuplot"]])
+).map(lambda parts: parts[0] + parts[1])
 
 _SWEEP_AXES = dict(
     axis=(st.sampled_from(["xi", "gamma", "omega0T"]), True),
@@ -695,7 +811,6 @@ _SWEEP_AXES = dict(
     spacing=(st.sampled_from(["linear", "log"]), False),
     xi=(_floats, False),
     gamma=(_floats, False),
-    eta=(_floats, False),
     omega0T=(_floats, False),
 )
 _CLOSED_FORMS = ["exact", "envelope", "taylor", "first-order"]
@@ -707,7 +822,9 @@ _COMMANDS = {
                 **_SWEEP_AXES,
                 methods=(st.sets(st.sampled_from(_CLOSED_FORMS), min_size=1).map(",".join), False),
                 profile=(st.sampled_from(["constant", "raised-cosine", "optimized"]), False),
+                steps=(_steps, False),
             ),
+            _table_output,
         ),
         # the oracle on the constant profile: one scalar step (_run_static),
         # or a fixed step count
@@ -719,14 +836,24 @@ _COMMANDS = {
                 profile=(st.just("constant"), False),
                 steps=(_steps, False),
             ),
+            _table_output,
+        ),
+        # the driven oracle on a shaped profile, at a fixed step count
+        st.tuples(
+            _options(
+                **_SWEEP_AXES,
+                methods=(st.sampled_from(["oracle", "first-order,oracle"]), True),
+                profile=(st.sampled_from(["raised-cosine", "optimized"]), True),
+                steps=(st.just(16), True),
+            ),
         ),
     ),
     "reversal": st.tuples(
-        _options(xi=(_floats, True), gamma=(_floats, True), eta=(_floats, False), omega0T=(_floats, False)),
+        _options(xi=(_floats, True), gamma=(_floats, True), omega0T=(_floats, False)),
     ),
     "reconstruct": st.one_of(
         st.tuples(_options(gamma=(_floats, True), eta=(_floats, False))),
-        st.tuples(_triple("expectations")),
+        st.tuples(_triple("expectations"), _options(eta=(_floats, False))),
     ),
     "design": st.tuples(
         _options(**{
@@ -741,15 +868,18 @@ _COMMANDS = {
         st.one_of(st.just([]), _triple("gamma")),
         st.one_of(st.just([]), _triple("eta")),
         st.sampled_from([[], ["--relaxed"]]),
-        st.one_of(st.sampled_from([[], ["--oracle"]]), _steps.map(lambda n: ["--oracle", f"--steps={n}"])),
+        st.one_of(st.sampled_from([[], ["--oracle"]]), _steps.map(lambda n: ["--oracle", f"--steps={n}"]),
+                  _steps.map(lambda n: [f"--steps={n}"])),
     ),
-    "coupling": st.one_of(
-        st.tuples(
-            st.just(["ratio"]),
-            _options(min=(_floats, False), max=(_floats, False), count=(_counts, False),
-                     spacing=(st.sampled_from(["linear", "log"]), False)),
-        ),
-        st.tuples(st.just(["shape"]), _options(count=(_counts, False))),
+    "coupling": st.tuples(
+        st.sampled_from([["ratio"], ["shape"]]),
+        _options(min=(_floats, False), max=(_floats, False), count=(_counts, False),
+                 spacing=(st.sampled_from(["linear", "log"]), False)),
+        _table_output,
+    ),
+    "verify": st.tuples(
+        _options(cases=(st.sampled_from([-1, 0, 1, 2]), True), seed=(st.integers(-1, 2 ** 64), False),
+                 **{"exact-tol": (_floats, False), "first-order-tol": (_floats, False)}),
     ),
 }
 
@@ -757,20 +887,23 @@ _COMMANDS = {
 @given(st.one_of(*(st.tuples(st.just(command), _formats, parts) for command, parts in _COMMANDS.items())))
 @settings(deadline=1000)
 def test_exit_code_contract(argv):
-    """Any input ends in exit 0, 2 or 3 with at most one 'error:' line, never a NaN.
+    """Any input ends in exit 0, 2 or 3 (or 1 from verify) with at most one 'error:' line, never a NaN.
 
-    The closed-form commands and the static oracle (`sweep --methods oracle`
-    on the constant profile, `multi --oracle`: one scalar step per segment at
-    any omega0T, or a fixed --steps of 1, 2, 3 or 16), in process, with the
-    floats at the edges of the double range and counts below 2.
+    Every subcommand, in process, with the floats at the edges of the double
+    range and counts below 2: the closed forms, the static oracle (`sweep
+    --methods oracle` on the constant profile, `multi --oracle`: one scalar
+    step per segment at any omega0T, or a fixed --steps of 1, 2, 3 or 16),
+    the driven oracle at 16 steps (`sweep` on a shaped profile), `verify` at
+    --cases -1 to 2, and the options a run refuses to ignore.
     """
     command, fmt, parts = argv
     words = [command, f"--format={fmt}", *(word for part in parts for word in part)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(words)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([word.replace("{dir}", tmp) for word in words])
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2, 3), (words, err)
+    assert code in ((0, 1, 2, 3) if command == "verify" else (0, 2, 3)), (words, err)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (words, err)
     if code == 0:
         assert "nan" not in out.lower(), (words, out)

@@ -21,7 +21,6 @@ from protspin import (
     reduction_ratio,
 )
 from protspin import core
-from protspin.dyson import _tabulated_l1_bound
 from helpers import panel_omegas, reference_knot_integral, signed_profiles
 
 BUILTINS = [
@@ -93,7 +92,7 @@ class TestFirstOrderAmplitude:
         total = 0.0
         for (s0, v0), (s1, v1) in zip(prof.samples, prof.samples[1:]):
             total += 0.5 * (abs(v0) + abs(v1)) * (s1 - s0)
-        assert abs(_tabulated_l1_bound(prof) - total) <= 1e-13 * total
+        assert abs(prof._panels.abs_area - total) <= 1e-13 * total
         assert total > 1.0  # the profile changes sign, so int |gT| > int gT = 1
 
     def test_tabulated_results_keep_their_bits(self, monkeypatch):
@@ -112,7 +111,7 @@ class TestFirstOrderAmplitude:
             s, v = prof._knots
             a = abs(v)
             expected = 0.5 * math.fsum(((a[:-1] + a[1:]) * (s[1:] - s[:-1])).tolist())
-            assert repr(_tabulated_l1_bound(prof)) == repr(expected)
+            assert repr(prof._panels.abs_area) == repr(expected)
 
     def test_quadratic_deviation_from_exact_under_halving(self):
         # deviation from the static-field closed form scales as xi^2
