@@ -211,6 +211,8 @@ def _sweep_methods(args) -> list[str]:
     if args.methods.strip() == "all":
         return list(_SWEEP_METHODS)
     requested = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not requested:
+        raise ValueError(f"--methods names no method; use a comma list of {','.join(_SWEEP_METHODS)} or 'all'")
     unknown = [m for m in requested if m not in _SWEEP_METHODS]
     if unknown:
         raise ValueError(f"unknown method(s): {', '.join(unknown)}")
@@ -245,15 +247,21 @@ def cmd_sweep(args) -> int:
     if args.steps is not None and "oracle" not in methods:
         raise ValueError("--steps sets the oracle's step count, and no oracle column is requested")
 
+    geoms = [
+        MeasurementGeometry(
+            xi=value if args.axis == "xi" else args.xi,
+            gamma=math.radians(value if args.axis == "gamma" else args.gamma),
+            omega0T=value if args.axis == "omega0T" else (args.omega0T or 0.0),
+        )
+        for value in grid
+    ]
+    # after the grid is validated, so an invalid axis value names itself
+    if args.axis == "omega0T" and not needs_omega:
+        raise ValueError(f"--axis omega0T sweeps what none of the methods {', '.join(methods)} reads")
+
     header = [_AXES[args.axis]] + [f"p_minus_{m.replace('-', '_')}" for m in methods]
     probabilities = [_SWEEP_METHODS[m][0] for m in methods]
-    rows = []
-    for value in grid:
-        xi = value if args.axis == "xi" else args.xi
-        gamma = math.radians(value) if args.axis == "gamma" else math.radians(args.gamma)
-        omega0T = value if args.axis == "omega0T" else (args.omega0T or 0.0)
-        geom = MeasurementGeometry(xi=xi, gamma=gamma, omega0T=omega0T)
-        rows.append([value] + [p(geom, profile, args.steps) for p in probabilities])
+    rows = [[value] + [p(geom, profile, args.steps) for p in probabilities] for value, geom in zip(grid, geoms)]
     _emit_table(args, header, rows)
     return 0
 

@@ -192,7 +192,8 @@ class CouplingProfile:
     float pairs.  What depends only on the knots is built once, read-only,
     outside the dataclass fields (so equality, hash and repr see the samples
     alone): the knot arrays, their _KnotPanels, and the trapezoid integrals
-    of gT and |gT|.
+    of gT and |gT|.  Outside the fields too, phased_integral keeps its last
+    (omega0T, value), so a run of calls at one frequency integrates once.
     """
 
     kind: ProfileKind
@@ -201,7 +202,10 @@ class CouplingProfile:
     def __post_init__(self):
         if self.kind is ProfileKind.TABULATED:
             pairs = () if self.samples is None else self.samples
-            samples = tuple([(float(s), float(v)) for s, v in pairs])
+            if type(pairs) is _FloatPairs:
+                samples = tuple(pairs)
+            else:
+                samples = tuple([(float(s), float(v)) for s, v in pairs])
             if len(samples) < 2:
                 raise ValueError("tabulated profile needs at least two (s, gT) samples")
             object.__setattr__(self, "samples", samples)
@@ -222,6 +226,7 @@ class CouplingProfile:
                 )
             object.__setattr__(self, "_knots", (s_vals, v_vals))
             object.__setattr__(self, "_panels", panels)
+            object.__setattr__(self, "_last_phased", (None, None))
         elif self.samples is not None:
             raise ValueError(f"samples are only meaningful for tabulated profiles, kind is {self.kind}")
 
@@ -243,19 +248,48 @@ class CouplingProfile:
 
     @classmethod
     def from_file(cls, path) -> "CouplingProfile":
-        """Load a tabulated profile from two whitespace-separated columns (s, gT)."""
-        rows = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        """Load a tabulated profile from two whitespace-separated columns (s, gT).
+
+        Blank lines and lines whose first word starts with '#' are skipped.
+        Each line is split once and all numbers are converted in one pass;
+        an error names the file and the line of the first fault.
+        """
+        lines = Path(path).read_text().splitlines()
+        words = []
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
             if len(parts) != 2:
+                _parse_floats(path, lines, words)  # a bad number above is the first fault
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+            words += parts
+        numbers = iter(_parse_floats(path, lines, words))
+        return cls.tabulated(_FloatPairs(zip(numbers, numbers)))
+
+
+class _FloatPairs(tuple):
+    """(s, gT) pairs of floats from from_file, which __post_init__ need not convert again."""
+
+
+def _parse_floats(path, lines: list[str], words: list[str]) -> list[float]:
+    """float() of each word; on a bad one, a ValueError naming the line it is on.
+
+    words are the data words of lines, in order; lines are searched again
+    only after a conversion fails.
+    """
+    try:
+        return list(map(float, words))
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls.tabulated(rows)
+        raise
 
 
 def coupling_eval(profile: CouplingProfile, t_over_T):
@@ -448,11 +482,21 @@ def phased_integral(profile: CouplingProfile, omega0T: float) -> complex:
     singularities of the raised-cosine and optimized spectral factors (at
     omega0T = 2 pi and 4 pi) cancel without a branch.  Tabulated profiles
     are piecewise linear, and their integral is the exact per-interval
-    closed form: exact up to rounding at any omega0T, at O(knots) cost.
+    closed form: exact up to rounding at any omega0T, at O(knots) cost.  A
+    tabulated profile returns its last value again when called at the same
+    omega0T (the same float, sign of zero included) without integrating.
     """
     _check_omega0T(omega0T)
     if profile.kind is ProfileKind.TABULATED:
-        return _knot_integral(profile, float(omega0T))
+        omega = float(omega0T)
+        key = (omega, math.copysign(1.0, omega))  # -0.0 is a key of its own
+        last_key, last_value = profile._last_phased
+        if key == last_key:
+            return last_value
+        value = _knot_integral(profile, omega)
+        # one tuple, so a reader in another thread sees a key with its own value
+        object.__setattr__(profile, "_last_phased", (key, value))
+        return value
     x = 0.5 * float(omega0T)
     if profile.kind is ProfileKind.CONSTANT:
         spectral = sinc(x)

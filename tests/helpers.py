@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +66,25 @@ def reference_knot_integral(s, v, omega):
         math.fsum(even * cos_p - odd * sin_p),
         math.fsum(even * sin_p + odd * cos_p),
     )
+
+
+def line_loop_samples(path):
+    """The (s, gT) pairs of a profile file, parsed line by line as from_file once did.
+
+    Raises the ValueError from_file raises for the first faulty line.
+    """
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return tuple(rows)
 
 
 def signed_profiles(seed):

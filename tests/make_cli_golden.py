@@ -264,6 +264,10 @@ CASES = [
     "sweep --axis gamma --min 0 --max 90 --count 3 --xi 0.1 --gamma 45",
     "sweep --axis omega0T --min 1 --max 10 --count 3 --xi 0.1 --gamma 90 --omega0T 5 --methods exact",
     "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --omega0T 7 --methods envelope",
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --methods ,",
+    "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --methods ' , '",
+    "sweep --axis omega0T --min 1 --max 10 --count 3 --xi 0.1 --gamma 90",
+    "sweep --axis omega0T --min 1 --max 10 --count 3 --xi 0.1 --gamma 90 --methods taylor,envelope",
     f"{_MULTI} --steps 16",
     "coupling shape --min 50 --max 60 --spacing linear",
     "coupling shape --count 5 --spacing log",

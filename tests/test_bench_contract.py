@@ -1,10 +1,11 @@
 """The benchmark's jobs run against this checkout, each once, in tier-1.
 
 bench/workloads.py is imported as it stands (no bytecode is written under
-bench/).  For every workload BENCHMARK.json declares, at seed 1: the inputs
-are built in a temporary directory, the references computed, every job of
-the seeded list run once, its crosscheck calls must take the benchmark's
-step total, and then a corrupted reference must make job 0 fail its check.
+bench/).  For every workload BENCHMARK.json declares, at the default and the
+held-out seed of bench/baseline.json: the inputs are built in a temporary
+directory, the references computed, every job of the seeded list run once,
+its crosscheck calls must take the benchmark's step total, and then a
+corrupted reference must make job 0 fail its check.
 A change to the library's API or output that would fail the benchmark's
 jobs fails here first.
 """
@@ -22,11 +23,14 @@ import protspin.cli  # noqa: F401  (closed-forms calls protspin.cli.main)
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
-SEED = 1
+SEEDS = json.loads((BENCH / "baseline.json").read_text())["seeds"]
 NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-# Midpoint steps the seed-1 job list's crosscheck calls take in all, a
+# Midpoint steps each seed's job list's crosscheck calls take in all, a
 # per-layer metric of the benchmark; a workload absent here calls none.
-CROSSCHECK_STEPS = {"static-oracle": 196608, "driven-oracle": 884736}
+CROSSCHECK_STEPS = {
+    1: {"static-oracle": 196608, "driven-oracle": 884736},
+    9001: {"static-oracle": 196608, "driven-oracle": 1146880},
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +49,22 @@ def call(span, fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_every_job_passes_and_a_corrupt_reference_fails(workloads, name, tmp_path):
-    workload = workloads.WORKLOADS[name](protspin, SEED, tmp_path)
+def test_seeds_are_the_baselines():
+    assert sorted(CROSSCHECK_STEPS) == sorted([SEEDS["default"], SEEDS["held_out"]])
+
+
+# the default seed's cases keep the bare workload name as their id
+@pytest.mark.parametrize("name, seed", [
+    pytest.param(name, seed, id=name if seed == SEEDS["default"] else f"{name}-seed{seed}")
+    for seed in sorted(CROSSCHECK_STEPS) for name in NAMES
+])
+def test_every_job_passes_and_a_corrupt_reference_fails(workloads, name, seed, tmp_path):
+    workload = workloads.WORKLOADS[name](protspin, seed, tmp_path)
     workload.prepare()
     stats = collections.Counter()
     for i in range(workload.size):
         workload.run_job(i, call, stats)
-    assert stats["oracle.crosscheck.steps_used"] == CROSSCHECK_STEPS.get(name, 0)
+    assert stats["oracle.crosscheck.steps_used"] == CROSSCHECK_STEPS[seed].get(name, 0)
     workload.corrupt()
     with pytest.raises(workloads.CheckFailed):
         workload.run_job(0, call, stats)

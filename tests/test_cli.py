@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import protspin.cli
 from make_cli_golden import BENCH_CASES, GOLDEN, all_argv, run_case
-from protspin import ConvergenceError, LabParameters, derive_report
+from protspin import ConvergenceError, LabParameters, core, derive_report
 from protspin.cli import build_parser, main
 
 
@@ -185,6 +185,28 @@ class TestSweep:
         _, explicit, _ = run(capsys, *argv, "--methods", "first-order,oracle")
         assert out == explicit
         assert parse_csv(out)[0] == ["omega0T", "p_minus_first_order", "p_minus_oracle"]
+
+    @pytest.mark.parametrize("axis, fixed, integrals", [
+        ("xi", "--min 0.1 --max 0.3 --gamma 90 --omega0T 20", 1),
+        ("gamma", "--min 10 --max 90 --xi 0.1 --omega0T 20", 1),
+        ("omega0T", "--min 10 --max 50 --xi 0.1 --gamma 90", 5),
+    ])
+    def test_tabulated_sweep_integrates_once_per_frequency(self, capsys, monkeypatch, tmp_path,
+                                                            axis, fixed, integrals):
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 0\n0.5 2\n1 0\n")
+        frequencies = []
+        knot_integral = core._knot_integral
+
+        def counted(profile, omega):
+            frequencies.append(omega)
+            return knot_integral(profile, omega)
+
+        monkeypatch.setattr(core, "_knot_integral", counted)
+        code, out, _ = run(capsys, "sweep", "--axis", axis, *fixed.split(), "--count", "5",
+                           "--methods", "first-order", "--profile", f"tabulated:{path}")
+        assert code == 0 and len(parse_csv(out)[1]) == 5
+        assert len(frequencies) == integrals == len(set(frequencies))
 
     def test_oracle_method_column(self, capsys):
         code, out, _ = run(

@@ -28,7 +28,13 @@ from protspin import (
     normalization_residual,
     phased_integral,
 )
-from helpers import panel_omegas, reference_knot_integral, signed_profiles, simpson_phased_integral
+from helpers import (
+    line_loop_samples,
+    panel_omegas,
+    reference_knot_integral,
+    signed_profiles,
+    simpson_phased_integral,
+)
 
 BUILTINS = [
     CouplingProfile.constant(),
@@ -213,6 +219,30 @@ class TestNormalizationResidual:
         assert abs(normalization_residual(prof) - 5e-7) < 1e-15
 
 
+# Profile files whose outcome the one-pass parse of from_file must keep from
+# the line loop: comment, blank and whitespace-only lines, a trailing
+# '# note' word, CRLF endings, a bad number on each data line k in turn, and
+# a bad number and a column fault in either order.
+_GOOD_LINES = ["# s gT", "", "  \t", "0 0", "0.25 1.5", "", "0.75 1.5 ", "# end", "1 0"]
+_LAYOUTS = [
+    "\n".join(_GOOD_LINES),
+    "\r\n".join(_GOOD_LINES) + "\r\n",
+    "0 0\n0.5 2 # note\n1 0\n",
+    "0 0\n0.5 #note\n1 0\n",
+    "0 0\n0.5 2\n1 0 #\n",
+    "0 0\r\n\r\n0.5 x\r\n1 0\r\n",
+    "0 0\x0c0.5 x\n1 0\n",
+    "0 0\n0.5 x\n0.7 1 2\n1 0\n",
+    "0 0\n0.5 1 2\n0.7 x\n1 0\n",
+    "0 0\n0.5 2\n1 nan\n",
+    "# only a comment\n",
+    *(
+        "\n".join(f"{line.strip()}e" if k == bad else line for k, line in enumerate(_GOOD_LINES))
+        for bad in (3, 4, 6, 8)
+    ),
+]
+
+
 class TestTabulatedProfiles:
     def test_requires_unit_area(self):
         with pytest.raises(ValueError):
@@ -303,6 +333,44 @@ class TestTabulatedProfiles:
         with pytest.raises(ValueError) as info:
             CouplingProfile.from_file(path)
         assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("text", _LAYOUTS)
+    def test_from_file_keeps_the_line_loop_outcome(self, tmp_path, text):
+        path = tmp_path / "layout.dat"
+        path.write_bytes(text.encode())
+
+        def outcome(load):
+            try:
+                return repr(load())
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(lambda: CouplingProfile.from_file(path)) == outcome(
+            lambda: CouplingProfile.tabulated(line_loop_samples(path)))
+
+    def test_from_file_reads_the_floats_the_line_loop_reads(self, tmp_path):
+        # Random knots written in every spelling float() reads back exactly.
+        rng = np.random.default_rng(25)
+        spellings = [
+            repr, "{:.17g}".format, "{:.17e}".format, "{:.25E}".format,
+            lambda x: str(Decimal(x)), lambda x: f"+{x!r}" if math.copysign(1.0, x) > 0.0 else repr(x),
+        ]
+        path = tmp_path / "random.dat"
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            s = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+            v = rng.uniform(-1.0, 3.0, n)
+            v[rng.integers(0, n, 2)] = rng.choice([-0.0, 0.0, 5e-324, -1e-310, 2.5e-308], 2)
+            v /= float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(s)))
+            lines = []
+            for pair in zip(s.tolist(), v.tolist()):
+                first, second = (spellings[k](x) for k, x in zip(rng.integers(0, len(spellings), 2), pair))
+                gap, lead = rng.choice([" ", "\t", " \t  "]), rng.choice(["", " ", "\t"])
+                lines.append(f"{lead}{first}{gap}{second}{lead}")
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", "   ", "# comment 1 2 3", "\t#x"]))
+            path.write_bytes(rng.choice(["\n", "\r\n"]).join(lines).encode())
+            assert repr(CouplingProfile.from_file(path).samples) == repr(line_loop_samples(path))
 
 
 def test_import_does_not_load_scipy():
@@ -480,6 +548,26 @@ class TestTabulatedIntegral:
                 assert repr(phased_integral(prof, omega)) == repr(reference_knot_integral(s, v, omega))
                 branches.add(frozenset((0.5 * omega * np.diff(s) >= core._SERIES_SWITCH).tolist()))
         assert branches == {frozenset([True]), frozenset([False]), frozenset([True, False])}
+
+    def test_last_frequency_is_kept_outside_the_fields(self, monkeypatch):
+        # One integral per run of calls at a frequency; -0.0 and 0.0 are two
+        # frequencies.  Every value repr-equals a fresh profile's.
+        prof = _jittered_profile(129, seed=7)
+        integrated = []
+        knot_integral = core._knot_integral
+
+        def counted(profile, omega):
+            if profile is prof:
+                integrated.append(repr(omega))
+            return knot_integral(profile, omega)
+
+        monkeypatch.setattr(core, "_knot_integral", counted)
+        omegas = [3.0, 70.0, 3.0, 3.0, np.float64(3.0), 70.0, 70.0, -0.0, 0.0, 0.0, -0.0, 1e6, 1e6]
+        for omega in omegas:
+            fresh = CouplingProfile.tabulated(prof.samples)
+            assert repr(phased_integral(prof, omega)) == repr(phased_integral(fresh, omega))
+        assert integrated == ["3.0", "70.0", "3.0", "70.0", "-0.0", "0.0", "-0.0", "1000000.0"]
+        assert prof == fresh and hash(prof) == hash(fresh) and repr(prof) == repr(fresh)
 
     def test_memory_does_not_grow_with_frequency(self):
         prof = _jittered_profile(513, seed=6)
