@@ -345,6 +345,16 @@ def coupling_grid(profile: CouplingProfile, n: int, start: int, stop: int, offse
     u = np.arange(start, stop, inner, dtype=float)
     u *= width
     u += offset * width
+    return _cosine_shape(profile, u, width, inner)[:m]
+
+
+def _cosine_shape(profile: CouplingProfile, u: np.ndarray, width: float = 0.0, inner: int = 1) -> np.ndarray:
+    """A cosine-shaped built-in profile at the points u in [0, 1], which it overwrites.
+
+    With inner > 1, each u_q stands for the inner points u_q + r width,
+    r = 0..inner-1, taken by angle addition (see coupling_grid); the result
+    runs over them in order.
+    """
     u -= 0.5
     u *= TWO_PI
     c = np.cos(u)
@@ -360,7 +370,7 @@ def coupling_grid(profile: CouplingProfile, n: int, start: int, stop: int, offse
         cols[0] *= 2.0
         np.sin(r, out=cols[1])
         c = np.subtract(c[:, None], rows @ cols)
-    g = c.ravel()[:m]
+    g = c.ravel()
     g += 1.0
     if profile.kind is ProfileKind.OPTIMIZED:
         g *= g

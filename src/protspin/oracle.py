@@ -49,18 +49,32 @@ then about their difference over 15 for the fourth-order rule and over 3 for
 the midpoint rule.  crosscheck always runs the midpoint doubling from 2**14,
 which is the check that static stepping is exact at every step count, and
 estimates the midpoint rule's order.
+
+Some runs take place whatever the stop test says: propagate's first pair
+(2**8 and 2**9 Magnus steps) and crosscheck's three order runs (2**10 to
+2**12 midpoint steps).  On a single-segment schedule with a driven profile
+each is one chunk on a uniform grid, so they are stepped together: one pass
+of the step kernel over their concatenated steps and one of the reduction.
+Each run keeps its own overflow check, series term count and normalization,
+and one of 1024 steps or more its own couplings table, so every result has
+the bits of the runs made one by one.
+The fixed numpy cost of one pass instead of two or three took a propagate
+that stops at 2**9 steps from about 105 to 85 us, and crosscheck's order
+runs from about 180 to 130 us, on a 2-CPU AMD EPYC machine.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _SINC_SERIES, CouplingProfile, MeasurementGeometry, ProfileKind, coupling_eval, coupling_grid,
+    _GRID_TABLE_MIN, _SINC_SERIES, CouplingProfile, MeasurementGeometry, ProfileKind, _cosine_shape,
+    coupling_eval, coupling_grid,
 )
 from .dyson import first_order_amplitude
 from .exact import amplitude_exact, survival_split
@@ -70,8 +84,12 @@ from .exact import amplitude_exact, survival_split
 START_STEPS = {2: 2 ** 14, 4: 2 ** 8}
 MAX_ADAPTIVE_STEPS = 2 ** 22
 ADAPTIVE_TOLERANCE = 1e-10
-# Steps per chunk: the float arrays of one chunk (128 KB each) stay in a
-# core's L2 cache; chunks of 2**16 steps and more ran crosscheck about 1.6x slower.
+# Steps per chunk: the float arrays of one chunk (128 KiB each) stay in a
+# core's L2 cache; chunks of 2**16 steps and more ran crosscheck about 1.6x
+# slower.  128 KiB is also glibc's default mmap threshold, so until a process
+# frees a larger block each such array is mapped afresh: a 2**17-step
+# midpoint run then takes about 2300 minor faults and 2.5 ms, against none
+# and 1.2 ms after an 8 MB array has been freed (2-CPU AMD EPYC).
 _CHUNK = 2 ** 14
 # sqrt(3)/6: the distance of the two Gauss-Legendre nodes from the step
 # midpoint, in steps, and the weight of the Magnus commutator term.
@@ -140,42 +158,53 @@ class HamiltonianSchedule:
         return cls((Segment(geom, profile),))
 
 
-def _compose(alpha: np.ndarray, beta: np.ndarray) -> tuple[complex, complex]:
-    """Time-ordered product of Cayley-Klein factors, element 0 applied first.
+def _compose(
+    alpha: np.ndarray, beta: np.ndarray, sizes: list[int] | None = None,
+) -> list[tuple[complex, complex]]:
+    """Time-ordered products of Cayley-Klein factors, element 0 applied first.
 
     Factor k is U_k = [[alpha_k, beta_k], [-conj(beta_k), conj(alpha_k)]].
     Pairwise reduction: U_2 U_1 has alpha = a2 a1 - b2 conj(b1) and
     beta = a2 b1 + b2 conj(a1), four complex multiplies per product.
+    Without sizes all factors make one product; with sizes, consecutive
+    parts of those lengths, powers of two in ascending order, make one each.
+    Their levels are reduced in the same numpy calls, and a part is taken off
+    the front once it is reduced to one factor.  Returns a pair per part.
     """
-    while alpha.size > 1:
-        m = alpha.size // 2
-        a1, a2 = alpha[0:2 * m:2], alpha[1:2 * m:2]
-        b1, b2 = beta[0:2 * m:2], beta[1:2 * m:2]
-        # Each product goes to a fresh array: numpy's complex multiply written
-        # in place onto an operand can move the last bits.  Sums are exact
-        # either way, so they accumulate in place.
-        head_a = a2 * a1
-        head_a -= b2 * np.conjugate(b1)
-        head_b = a2 * b1
-        head_b += b2 * np.conjugate(a1)
-        if alpha.size % 2:
-            head_a = np.append(head_a, alpha[-1])
-            head_b = np.append(head_b, beta[-1])
-        alpha, beta = head_a, head_b
-    a, b = complex(alpha[0]), complex(beta[0])
-    # The form is closed under products, so the only drift from SU(2) is
-    # in det U = |a|^2 + |b|^2.  Determinants multiply, so one rescale of
-    # the root removes the drift of every level below it.
-    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    return a / norm, b / norm
+    products = []
+    levels = 0
+    for size in [alpha.size] if sizes is None else sizes:
+        # a part of `size` factors is one factor after ceil(log2(size)) levels
+        for _ in range((size - 1).bit_length() - levels):
+            m = alpha.size // 2
+            a1, a2 = alpha[0:2 * m:2], alpha[1:2 * m:2]
+            b1, b2 = beta[0:2 * m:2], beta[1:2 * m:2]
+            # Each product goes to a fresh array: numpy's complex multiply
+            # written in place onto an operand can move the last bits.  Sums
+            # are exact either way, so they accumulate in place.
+            head_a = a2 * a1
+            head_a -= b2 * np.conjugate(b1)
+            head_b = a2 * b1
+            head_b += b2 * np.conjugate(a1)
+            if alpha.size % 2:
+                # only a lone part has an odd length
+                head_a = np.append(head_a, alpha[-1])
+                head_b = np.append(head_b, beta[-1])
+            alpha, beta = head_a, head_b
+        levels = (size - 1).bit_length()
+        a, b = complex(alpha[0]), complex(beta[0])
+        # The form is closed under products, so the only drift from SU(2) is
+        # in det U = |a|^2 + |b|^2.  Determinants multiply, so one rescale of
+        # the root removes the drift of every level below it.
+        norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+        products.append((a / norm, b / norm))
+        alpha, beta = alpha[1:], beta[1:]
+    return products
 
 
-def _step_edges(edges: np.ndarray | None, counts, start: int, stop: int):
-    """Left edges and widths of steps start..stop-1 of a grid (see _grids)."""
+def _step_edges(edges: np.ndarray, counts: np.ndarray, start: int, stop: int):
+    """Left edges and widths of steps start..stop-1 of a knot-aligned grid (see _grids)."""
     j = np.arange(start, stop, dtype=float)
-    if edges is None:
-        width = 1.0 / counts
-        return j * width, width
     # the intervals lo..hi-1 hold the chunk, `taken` of its steps each; step
     # j of interval i starts at edges[i] + (j - first[i]) w[i]
     first = np.cumsum(counts) - counts
@@ -190,31 +219,88 @@ def _step_edges(edges: np.ndarray | None, counts, start: int, stop: int):
     return left, width
 
 
-def _cos_sinc_series(p: np.ndarray, p_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(x) and sin(x)/x at x = sqrt(p), for 0 <= p <= p_max <= _SERIES_MAX_P.
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Both are Taylor series in p, summed by Horner's rule to the fewest terms
-    whose first omitted term is below 2**-64 at p_max, on one (2, m) array:
-    a cos row and a sinc row.
+
+def _per_step(values: list[float], sizes: list[int]):
+    """values[i] for each of the sizes[i] steps of part i; a lone part's value as a float."""
+    return values[0] if len(values) == 1 else np.repeat(values, sizes)
+
+
+def _cos_sinc_series(
+    p: np.ndarray, p_max: list[float], ends: list[int], out: np.ndarray, first: int = 0,
+) -> None:
+    """cos(x) and sin(x)/x at x = sqrt(p) into the rows of out, on parts first.. of p.
+
+    Part i of p runs up to ends[i], and its largest value p_max[i] is at most
+    _SERIES_MAX_P.  Both are Taylor series in p, summed by Horner's rule on
+    the two rows of out, a cos row and a sinc row, to the fewest terms whose
+    first omitted term at p_max[i] is below 2**-64.  p_max must not rise
+    along the parts, so at every level the parts whose sums have begun are
+    consecutive from part first on.
     """
-    terms = bisect.bisect_right(_SERIES_REACH, p_max) + 1
-    cos, sinc = np.empty((2, p.size))
-    cos.fill(_COS_SERIES[terms - 1])
-    sinc.fill(_SINC_SERIES[terms - 1])
-    for k in range(terms - 2, -1, -1):
-        cos *= p
+    terms = [bisect.bisect_right(_SERIES_REACH, top) + 1 for top in p_max]
+    cos_row, sinc_row = out[0], out[1]
+    lo = begun = ends[first - 1] if first else 0
+    part = first
+    for k in range(terms[first] - 2, -1, -1):
+        # the parts of k + 2 terms begin, at their highest coefficient
+        while part < len(terms) and terms[part] == k + 2:
+            part += 1
+        if ends[part - 1] > begun:
+            head = slice(begun, ends[part - 1])
+            np.multiply(p[head], _COS_SERIES[k + 1], out=cos_row[head])
+            np.multiply(p[head], _SINC_SERIES[k + 1], out=sinc_row[head])
+            begun = head.stop
+            cos, sinc, q = cos_row[lo:begun], sinc_row[lo:begun], p[lo:begun]
         cos += _COS_SERIES[k]
-        sinc *= p
         sinc += _SINC_SERIES[k]
-    return cos, sinc
+        if k:
+            cos *= q
+            sinc *= q
+    if begun < p.size:
+        # parts of one term
+        out[:, begun:] = 1.0
+
+
+def _cos_sinc(p: np.ndarray, p_max: list[float], ends: list[int]) -> np.ndarray:
+    """cos|c| and sin|c|/|c| at |c|^2 = p, as the rows of one (2, m) array.
+
+    Part i of p runs up to ends[i] and has largest value p_max[i].  A part
+    with p_max <= _SERIES_MAX_P takes the series, any other np.sqrt, np.sin
+    and np.cos.
+    """
+    if p_max != sorted(p_max, reverse=True):
+        # the series' shared levels need p_max not to rise along the parts
+        return np.concatenate([
+            _cos_sinc(p[lo:hi], [top], [hi - lo]) for lo, hi, top in zip([0, *ends], ends, p_max)
+        ], axis=1)
+    row = np.empty((2, p.size))
+    # the parts that take sines and cosines, first as p_max does not rise
+    trig = sum(top > _SERIES_MAX_P for top in p_max)
+    if trig:
+        split = ends[trig - 1]
+        phi = np.sqrt(p[:split])
+        np.cos(phi, out=row[0, :split])
+        # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
+        np.divide(np.sin(phi), np.where(phi > 0.0, phi, 1.0), out=row[1, :split])
+    if trig < len(p_max):
+        _cos_sinc_series(p, p_max, ends, row, trig)
+    return row
 
 
 def _overflow(geom: MeasurementGeometry) -> ValueError:
     return ValueError(f"oracle step overflows at xi={geom.xi!r}, omega0T={geom.omega0T!r}")
 
 
-def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cayley-Klein pairs of steps start..stop-1 of the segment's grid.
+def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pairs of the steps of each part (grid, start, stop), concatenated.
+
+    Part (grid, start, stop) is steps start..stop-1 of a grid of the
+    segment (see _grids).  Several parts must be whole uniform grids
+    (None, n) in ascending n; they go through every array operation
+    together, with the step width and half below as per-step arrays.
 
     Step j is exp(+i c_j.sigma).  With half = (omega0T/2) times the step
     width, the midpoint rule (order 2) takes c = half (e_z + g n) at the
@@ -226,32 +312,61 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
     cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.
 
     On a constant profile every step of the (uniform) grid is the same, so
-    only step start is computed and its pair is returned repeated; _compose
-    still multiplies every copy.  Otherwise, on a uniform grid a built-in
-    profile's couplings come from core.coupling_grid, which calls no cosine
-    per step; other grids and tabulated profiles use coupling_eval.  If
-    every step of the chunk has p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are
-    their Taylor series in p, cut where the first omitted term at the
-    chunk's largest p is below 2**-64 (at most 7 terms), so no step needs a
-    sine or cosine.  A chunk with a larger step takes np.sqrt, np.sin and
-    np.cos.
+    only step start of its one part is computed and its pair is returned
+    repeated; _compose still multiplies every copy.  Otherwise, on a uniform
+    grid a built-in profile's couplings come from core.coupling_grid, which
+    calls no cosine per step on a part of core._GRID_TABLE_MIN steps or
+    more; shorter parts share one cosine evaluation.  Tabulated profiles use
+    coupling_eval.  If every step of a part has p = |c|^2 <= 1/16, cos|c|
+    and sin|c|/|c| are their Taylor series in p, cut where the first omitted
+    term at the part's largest p is below 2**-64 (at most 7 terms), so no
+    step needs a sine or cosine.  A part with a larger step takes np.sqrt,
+    np.sin and np.cos.
     """
     geom = seg.geom
     profile = seg.profile
-    if profile.kind is ProfileKind.CONSTANT and stop - start > 1:
-        alpha, beta = _steps(seg, grid, start, start + 1, order)
-        return np.full(stop - start, alpha[0]), np.full(stop - start, beta[0])
-    edges, counts = grid
-    if edges is None and profile.kind is not ProfileKind.TABULATED:
-        width = 1.0 / counts
-
-        def coupling(offset):
-            return coupling_grid(profile, counts, start, stop, offset) * geom.xi
-    else:
+    if profile.kind is ProfileKind.CONSTANT:
+        [(grid, start, stop)] = parts
+        if stop - start > 1:
+            alpha, beta = _steps(seg, [(grid, start, start + 1)], order)
+            return np.full(stop - start, alpha[0]), np.full(stop - start, beta[0])
+    sizes = [stop - start for _, start, stop in parts]
+    ends = list(itertools.accumulate(sizes))
+    (edges, counts), start, stop = parts[0]
+    if edges is not None:
+        # a knot-aligned grid, in a part of its own
         left, width = _step_edges(edges, counts, start, stop)
+        shared, shared_width = 1, width
+    else:
+        widths = [1.0 / grid[1] for grid, _, _ in parts]
+        width = _per_step(widths, sizes)
+        # The first `shared` parts take their couplings from one evaluation
+        # at left + offset width: every part on a tabulated profile, and on a
+        # cosine shape those below _GRID_TABLE_MIN steps.  The longer ones
+        # (the rest, as parts ascend) each call coupling_grid, whose table
+        # split depends on the part's length.
+        if profile.kind is ProfileKind.TABULATED:
+            shared = len(parts)
+        elif profile.kind is ProfileKind.CONSTANT:
+            shared = 0
+        else:
+            shared = sum(size < _GRID_TABLE_MIN for size in sizes)
+        if shared:
+            left = _joined([np.arange(start, stop, dtype=float) for _, start, stop in parts[:shared]])
+            shared_width = _per_step(widths[:shared], sizes[:shared])
+            left *= shared_width
 
-        def coupling(offset):
-            return coupling_eval(profile, left + offset * width) * geom.xi
+    def coupling(offset):
+        pieces = [
+            coupling_grid(profile, grid[1], start, stop, offset) for grid, start, stop in parts[shared:]
+        ]
+        if shared:
+            s = left + offset * shared_width
+            pieces.insert(0, coupling_eval(profile, s) if profile.kind is ProfileKind.TABULATED
+                          else _cosine_shape(profile, s))
+        g = _joined(pieces)
+        g *= geom.xi
+        return g
 
     half = 0.5 * geom.omega0T * width
     sin_g = math.sin(geom.gamma)
@@ -259,8 +374,8 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
     ny = sin_g * math.sin(geom.eta)
     nz = math.cos(geom.gamma)
 
-    # At a huge xi the exponents overflow; p_max is then inf or NaN, and
-    # the step is refused instead of propagating NaN.
+    # At a huge xi the exponents overflow; a part's p_max is then inf or
+    # NaN, and the step is refused instead of propagating NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         if order == 2 or profile.kind is ProfileKind.CONSTANT:
             g = coupling(0.5)
@@ -273,22 +388,19 @@ def _steps(seg: Segment, grid: tuple, start: int, stop: int, order: int) -> tupl
             w = (_GAUSS_OFFSET * half * half) * (g2 - g1)
             cx = (half * nx) * g - ny * w
             cy = (half * ny) * g + nx * w
-        cz = half * (1.0 + g * nz)
+        cz = g * nz
+        cz += 1.0
+        cz *= half
         p = cx * cx
         p += cy * cy
         p += cz * cz
-        p_max = float(p.max())
-    if not math.isfinite(p_max):
+        p_max = np.maximum.reduceat(p, [0, *ends[:-1]]).tolist()
+    if not all(map(math.isfinite, p_max)):
         raise _overflow(geom)
-    if p_max <= _SERIES_MAX_P:
-        cos, t = _cos_sinc_series(p, p_max)
-    else:
-        phi = np.sqrt(p)
-        cos = np.cos(phi)
-        # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
-        t = np.sin(phi) / np.where(phi > 0.0, phi, 1.0)
-    alpha = np.empty(stop - start, dtype=complex)
-    beta = np.empty(stop - start, dtype=complex)
+    row = _cos_sinc(p, p_max, ends)
+    alpha = np.empty(ends[-1], dtype=complex)
+    beta = np.empty(ends[-1], dtype=complex)
+    cos, t = row[0], row[1]
     alpha.real = cos
     np.multiply(cz, t, out=alpha.imag)
     np.multiply(cy, t, out=beta.real)
@@ -338,7 +450,14 @@ def _refine(grids: list[tuple]) -> list[tuple]:
 
 
 def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], order: int) -> np.ndarray:
-    """Apply steps of the given order on grids[k] to segment k of the schedule, to psi.
+    """Apply steps of the given order on grids[k] to segment k of the schedule, to psi."""
+    return _runs(schedule, psi, [grids], order)[0]
+
+
+def _runs(
+    schedule: HamiltonianSchedule, psi: np.ndarray, grid_lists: list[list[tuple]], order: int,
+) -> list[np.ndarray]:
+    """_run on each list of grids, with the runs that fit one chunk stepped together.
 
     Each chunk of at most _CHUNK steps reduces to one factor, and the chunk
     factors then reduce through the same kernel, in the order applied.  A
@@ -346,19 +465,40 @@ def _run(schedule: HamiltonianSchedule, psi: np.ndarray, grids: list[tuple], ord
     chunk is reduced once and that factor is listed for each of them; a
     shorter last chunk is reduced on its own.  The factor list, hence the
     product, has the bits of one with every chunk reduced.
+
+    On a single-segment schedule whose profile is not constant, the runs on
+    a uniform grid of a power-of-two step count of at most _CHUNK are one
+    chunk each.  They go through one _steps and one _compose pass as parts
+    in ascending length, which gives each the bits of its own pass.
     """
-    factors = []
-    for seg, grid in zip(schedule.segments, grids):
-        edges, counts = grid
-        total = counts if edges is None else int(counts.sum())
-        full = total // _CHUNK if seg.profile.kind is ProfileKind.CONSTANT else 0
-        if full:
-            factors += [_compose(*_steps(seg, grid, 0, _CHUNK, order))] * full
-        for start in range(full * _CHUNK, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            factors.append(_compose(*_steps(seg, grid, start, stop, order)))
-    a, b = _compose(*(np.array(column) for column in zip(*factors)))
-    return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
+    factors = [[] for _ in grid_lists]
+    seg = schedule.segments[0]
+    if len(schedule.segments) == 1 and seg.profile.kind is not ProfileKind.CONSTANT:
+        batch = sorted(
+            (counts, i) for i, [(edges, counts)] in enumerate(grid_lists)
+            if edges is None and counts <= _CHUNK and counts & (counts - 1) == 0
+        )
+        if batch:
+            parts = [((None, n), 0, n) for n, _ in batch]
+            pairs = _compose(*_steps(seg, parts, order), [n for n, _ in batch])
+            for (_, i), pair in zip(batch, pairs):
+                factors[i].append(pair)
+    for grids, run_factors in zip(grid_lists, factors):
+        if run_factors:
+            continue
+        for seg, grid in zip(schedule.segments, grids):
+            edges, counts = grid
+            total = counts if edges is None else int(counts.sum())
+            full = total // _CHUNK if seg.profile.kind is ProfileKind.CONSTANT else 0
+            if full:
+                run_factors += _compose(*_steps(seg, [(grid, 0, _CHUNK)], order)) * full
+            for start in range(full * _CHUNK, total, _CHUNK):
+                run_factors += _compose(*_steps(seg, [(grid, start, min(start + _CHUNK, total))], order))
+    finals = []
+    for run_factors in factors:
+        [(a, b)] = _compose(*(np.array(column) for column in zip(*run_factors)))
+        finals.append(np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]]))
+    return finals
 
 
 def _run_static(schedule: HamiltonianSchedule, psi0: SpinState) -> SpinState:
@@ -398,11 +538,14 @@ def _propagate_adaptive(
 ) -> tuple[np.ndarray, int]:
     steps = START_STEPS[order]
     grids = _grids(schedule, steps)
-    previous = _run(schedule, psi, grids, order)
+    # The first refinement runs whatever the stop test says, so it is
+    # stepped in one pass with the first run.
+    first = [grids, _refine(grids)] if steps < MAX_ADAPTIVE_STEPS else [grids]
+    previous, *ahead = _runs(schedule, psi, first, order)
     while steps < MAX_ADAPTIVE_STEPS:
         steps *= 2
         grids = _refine(grids)
-        current = _run(schedule, psi, grids, order)
+        current = ahead.pop() if ahead else _run(schedule, psi, grids, order)
         if np.max(np.abs(current - previous)) < ADAPTIVE_TOLERANCE:
             return current, steps
         previous = current
@@ -508,11 +651,10 @@ def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> Crosschec
     order = None
     if profile.kind is not ProfileKind.CONSTANT:
         # static Hamiltonians are integrated exactly, leaving only round-off
-        grids = _grids(schedule, 2 ** 10)
-        coarse = []
-        for _ in range(3):
-            coarse.append(_run(schedule, psi, grids, 2))
-            grids = _refine(grids)
+        grids = [_grids(schedule, 2 ** 10)]
+        for _ in range(2):
+            grids.append(_refine(grids[-1]))
+        coarse = _runs(schedule, psi, grids, 2)
         d1 = float(np.max(np.abs(coarse[0] - coarse[1])))
         d2 = float(np.max(np.abs(coarse[1] - coarse[2])))
         if d1 > 1e-13 and d2 > 1e-13:

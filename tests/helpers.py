@@ -1,4 +1,4 @@
-"""Shared test utilities: brute-force references, an older oracle kernel, and geometry sampling."""
+"""Shared test utilities: brute-force references, an older oracle kernel and driver, and geometry sampling."""
 
 import bisect
 import math
@@ -192,7 +192,11 @@ def reference_steps(seg, grid, start, stop, order):
         def coupling(offset):
             return coupling_grid(profile, counts, start, stop, offset) * geom.xi
     else:
-        left, width = oracle._step_edges(edges, counts, start, stop)
+        if edges is None:
+            width = 1.0 / counts
+            left = np.arange(start, stop, dtype=float) * width
+        else:
+            left, width = oracle._step_edges(edges, counts, start, stop)
 
         def coupling(offset):
             return coupling_eval(profile, left + offset * width) * geom.xi
@@ -246,3 +250,25 @@ def reference_run(schedule, psi, grids, order):
             factors.append(reference_compose(*reference_steps(seg, grid, start, stop, order)))
     a, b = reference_compose(*(np.array(column) for column in zip(*factors)))
     return np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]])
+
+
+def reference_runs(schedule, psi, grid_lists, order):
+    return [reference_run(schedule, psi, grids, order) for grids in grid_lists]
+
+
+# The adaptive driver as it was before runs were stepped together: every
+# refinement its own reference_run.
+def reference_adaptive(schedule, psi, order):
+    steps = oracle.START_STEPS[order]
+    grids = oracle._grids(schedule, steps)
+    previous = reference_run(schedule, psi, grids, order)
+    while steps < oracle.MAX_ADAPTIVE_STEPS:
+        steps *= 2
+        grids = oracle._refine(grids)
+        current = reference_run(schedule, psi, grids, order)
+        if np.max(np.abs(current - previous)) < oracle.ADAPTIVE_TOLERANCE:
+            return current, steps
+        previous = current
+    raise oracle.ConvergenceError(
+        f"no convergence to {oracle.ADAPTIVE_TOLERANCE} within {oracle.MAX_ADAPTIVE_STEPS} steps"
+    )

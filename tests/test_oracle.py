@@ -30,7 +30,10 @@ from protspin import (
     survival_split,
 )
 from protspin.core import coupling_grid
-from helpers import propagate_midpoint, random_geometries, reference_run, richardson_minus
+from helpers import (
+    propagate_midpoint, random_geometries, reference_adaptive, reference_run, reference_runs,
+    richardson_minus,
+)
 
 # A normalized state other than |+> or |->.
 MIXED_STATE = SpinState(0.6 + 0.0j, 0.48 + 0.64j)
@@ -399,9 +402,9 @@ class TestKernel:
         chunks = []
         series = oracle._cos_sinc_series
 
-        def spy(p, p_max):
+        def spy(p, *args):
             chunks.append(p.size)
-            return series(p, p_max)
+            return series(p, *args)
 
         monkeypatch.setattr(oracle, "_cos_sinc_series", spy)
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
@@ -424,7 +427,9 @@ class TestKernel:
             rng.uniform(0.0, oracle._SERIES_MAX_P, 3000),
         ])
         for p in ps:
-            cos, sinc = oracle._cos_sinc_series(np.array([p]), p)
+            out = np.empty((2, 1))
+            oracle._cos_sinc_series(np.array([p]), [p], [1], out)
+            cos, sinc = out
             x = math.sqrt(p)
             ref_cos = math.cos(x)
             ref_sinc = math.sin(x) / x if x > 0.0 else 1.0
@@ -460,7 +465,7 @@ class TestKernel:
         monkeypatch.setattr(np, "cos", counted(np.cos))
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=50.0)
         seg = Segment(geom, profile)
-        alpha, _ = oracle._steps(seg, (None, 2**16), 2**14, 2**15, order)
+        alpha, _ = oracle._steps(seg, [((None, 2**16), 2**14, 2**15)], order)
         assert alpha.size == 2**14
         assert sizes and max(sizes) <= 256
 
@@ -494,9 +499,9 @@ class TestKernel:
         sizes = []
         series = oracle._cos_sinc_series
 
-        def spy(p, p_max):
+        def spy(p, *args):
             sizes.append(p.size)
-            return series(p, p_max)
+            return series(p, *args)
 
         def counted(func):
             def wrapper(x, *args, **kwargs):
@@ -600,7 +605,7 @@ class TestKernelBits:
         geoms = random_geometries(np.random.default_rng(20), 200, omega_max=3e4)
         constant = CouplingProfile.constant()
         reports = [crosscheck(geom, constant) for geom in geoms]
-        monkeypatch.setattr(oracle, "_run", reference_run)
+        monkeypatch.setattr(oracle, "_runs", reference_runs)
         for geom, report in zip(geoms, reports):
             assert repr(report) == repr(crosscheck(geom, constant)), geom
 
@@ -608,9 +613,9 @@ class TestKernelBits:
         full_chunks = []
         compose = oracle._compose
 
-        def spy(alpha, beta):
-            full_chunks.append(alpha.size == oracle._CHUNK)
-            return compose(alpha, beta)
+        def spy(alpha, beta, sizes=None):
+            full_chunks.extend(size == oracle._CHUNK for size in sizes or [alpha.size])
+            return compose(alpha, beta, sizes)
 
         monkeypatch.setattr(oracle, "_compose", spy)
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=400.0)
@@ -632,6 +637,85 @@ class TestKernelBits:
             full_chunks.clear()
             propagate(sched, MIXED_STATE, steps=steps)
             assert sum(full_chunks) == expected, steps
+
+
+# Step counts of runs stepped together: the adaptive drivers' first pair and
+# order runs, parts below and above core._GRID_TABLE_MIN, equal parts, and a
+# part of a whole chunk.
+BATCHES = ((2**8, 2**9), (2**10, 2**11, 2**12), (2**8, 2**11), (2**9, 2**9), (2**8, 2**14))
+ADAPTIVE_PROFILES = [*KERNEL_PROFILES[:2], EVEN_TABULATED, UNEVEN_TABULATED]
+
+
+class TestRunsTogether:
+    """Runs stepped in one pass keep the bits of each run stepped on its own."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    # 1e-9 sums one series term, 3 a different count per part, 400 mixes
+    # sine-and-cosine parts with series parts, 3e4 takes sines throughout
+    @pytest.mark.parametrize("omega0T", [1e-9, 3.0, 400.0, 3e4])
+    @pytest.mark.parametrize("profile", BIT_PROFILES[1:], ids=profile_id)
+    def test_runs_match_reference(self, profile, omega0T, order):
+        geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+        sched = HamiltonianSchedule.single(geom, profile)
+        psi = MIXED_STATE.as_array()
+        for counts in BATCHES:
+            # given finest first, so the pass has to sort them
+            grid_lists = [oracle._grids(sched, n) for n in reversed(counts)]
+            out = oracle._runs(sched, psi, grid_lists, order)
+            ref = reference_runs(sched, psi, grid_lists, order)
+            assert [same_bits(x, y) for x, y in zip(out, ref)] == [True] * len(counts), counts
+
+    def test_series_parts_match_their_own_passes(self):
+        rng = np.random.default_rng(26)
+        # largest |c|^2 per part: falling, rising (each part then on its
+        # own), equal, one-term parts, and sine-and-cosine parts among them
+        for tops in ((2.0, 1e-3, 1e-7), (1e-7, 1e-3, 2.0), (1e-3, 1e-3, 1e-21), (0.05, 2.0, 1e-5, 1e-21)):
+            parts = [rng.uniform(0.0, top, 37) for top in tops]
+            for part, top in zip(parts, tops):
+                part[rng.integers(37)] = top
+            ends = list(np.cumsum([part.size for part in parts]))
+            joined = oracle._cos_sinc(np.concatenate(parts), list(tops), ends)
+            alone = np.concatenate(
+                [oracle._cos_sinc(part, [top], [part.size]) for part, top in zip(parts, tops)], axis=1,
+            )
+            assert same_bits(joined, alone), tops
+
+    def test_first_pair_and_order_runs_take_one_pass(self, monkeypatch):
+        passes = []
+        steps = oracle._steps
+
+        def spy(seg, parts, order):
+            passes.append([stop - start for _, start, stop in parts])
+            return steps(seg, parts, order)
+
+        monkeypatch.setattr(oracle, "_steps", spy)
+        geom = MeasurementGeometry(xi=0.05, gamma=1.0, eta=0.2, omega0T=3.0)
+        profile = CouplingProfile.raised_cosine()
+        propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+        assert passes == [[2**8, 2**9]]
+        passes.clear()
+        crosscheck(geom, profile)
+        # the adaptive midpoint runs start at a whole chunk of 2**14 steps
+        assert [part for part in passes if sum(part) < 2**14] == [[2**10, 2**11, 2**12]]
+
+    @pytest.mark.parametrize("profile", ADAPTIVE_PROFILES, ids=profile_id)
+    def test_adaptive_driver_keeps_its_bits(self, monkeypatch, profile):
+        # Magnus propagate stops at 2**9, 2**10 and 2**11 steps on these
+        geoms = random_geometries(np.random.default_rng(26), 8, xi_max=0.5, omega_max=60.0)
+        stops = set()
+        for geom in geoms:
+            sched = HamiltonianSchedule.single(geom, profile)
+            for psi0 in (SpinState.plus(), MIXED_STATE):
+                final, steps = reference_adaptive(sched, psi0.as_array(), 4)
+                stops.add(steps)
+                expected = SpinState(complex(final[0]), complex(final[1]))
+                assert repr(propagate(sched, psi0)) == repr(expected), geom
+        assert {2**9, 2**10, 2**11} <= stops
+        reports = [crosscheck(geom, profile) for geom in geoms]
+        monkeypatch.setattr(oracle, "_propagate_adaptive", reference_adaptive)
+        monkeypatch.setattr(oracle, "_runs", reference_runs)
+        for geom, report in zip(geoms, reports):
+            assert repr(report) == repr(crosscheck(geom, profile)), geom
 
 
 class TestStaticFastPath:
