@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     CouplingProfile,
-    FieldSpec,
     MeasurementGeometry,
     ProfileKind,
     coupling_eval,
@@ -300,11 +299,10 @@ def cmd_multi(args) -> int:
     if args.steps is not None and not args.oracle:
         raise ValueError("--steps sets the oracle's step count, so it needs --oracle")
     fields = tuple(
-        FieldSpec(
+        MeasurementGeometry(
             xi=args.xi[k],
             gamma=math.radians(args.gamma[k]),
             eta=math.radians(args.eta[k]),
-            direction_index=k + 1,
         )
         for k in range(3)
     )
@@ -319,9 +317,9 @@ def cmd_multi(args) -> int:
                 "xi": f.xi,
                 "gamma_deg": math.degrees(f.gamma),
                 "eta_deg": math.degrees(f.eta),
-                "direction_index": f.direction_index,
+                "direction_index": k,
             }
-            for f in config.fields
+            for k, f in enumerate(config.fields, start=1)
         ],
         "orthogonal": config.orthogonal,
         "simultaneous": _complex_dict(sim),

@@ -126,30 +126,6 @@ def direction_vector(gamma: float, eta: float) -> np.ndarray:
     return np.array(_unit_vector(gamma, eta))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One measurement field of a multi-field protocol.
-
-    The dimensionless strength xi is defined with respect to that field's own
-    measurement window, so three successive fields of equal duration T carry
-    the same xi they would in isolation.
-    """
-
-    xi: float
-    gamma: float
-    eta: float = 0.0
-    direction_index: int = 1
-
-    def __post_init__(self):
-        geom = MeasurementGeometry(self.xi, self.gamma, self.eta)
-        if self.direction_index not in (1, 2, 3):
-            raise ValueError(f"direction_index must be 1, 2 or 3, got {self.direction_index!r}")
-        object.__setattr__(self, "eta", geom.eta)
-
-    def direction(self) -> np.ndarray:
-        return direction_vector(self.gamma, self.eta)
-
-
 class _KnotPanels(NamedTuple):
     """What a tabulated profile's Fourier integral needs of its knots alone.
 

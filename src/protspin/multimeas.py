@@ -4,8 +4,10 @@ At first order the three weak fields contribute additively.  Applied
 simultaneously for a window T they reduce to a single effective field (the
 vector sum of the three), while applying them in three successive windows of
 duration T tags each term with an extra phase exp(i (k-2) omega0T).  The
-per-term magnitudes are identical either way, and at omega0T equal to a
-multiple of 2 pi the full complex amplitudes coincide.
+per-term magnitudes are identical either way.  At omega0T = 2 pi m the two
+protocols agree at first order, where both amplitudes are zero
+(sinc(omega0T/2) = 0), but the exact amplitudes differ: the fields shift
+the transition frequency off that zero.
 
 Directions, their dot products and the superposed field are scalar float
 arithmetic; this module does not use numpy.
@@ -17,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import CouplingProfile, FieldSpec, MeasurementGeometry, _check_omega0T, _unit_vector, sinc
+from .core import CouplingProfile, MeasurementGeometry, _unit_vector, sinc
 from .oracle import HamiltonianSchedule, Segment
 
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -28,16 +30,29 @@ ORTHOGONALITY_TOLERANCE = 1e-12
 _SUBNORMAL_MARGIN = 2.0 ** -969
 
 
+def FieldSpec(xi: float, gamma: float, eta: float = 0.0, direction_index: int = 1) -> MeasurementGeometry:
+    """MeasurementGeometry(xi, gamma, eta), once direction_index is checked to be 1, 2 or 3.
+
+    Only the benchmark's workloads still call it; moving them to
+    MeasurementGeometry deletes it.
+    """
+    geom = MeasurementGeometry(xi, gamma, eta)
+    if direction_index not in (1, 2, 3):
+        raise ValueError(f"direction_index must be 1, 2 or 3, got {direction_index!r}")
+    return geom
+
+
 @dataclass(frozen=True)
 class MultiFieldConfig:
     """Three measurement fields sharing one omega0T window each.
 
+    The fields are stored as geometries with the config's omega0T.
     Directions must be mutually orthogonal unit vectors unless relaxed=True,
     in which case the orthogonal flag (set by the check, not passed in)
     records the failed check instead of raising.
     """
 
-    fields: tuple[FieldSpec, FieldSpec, FieldSpec]
+    fields: tuple[MeasurementGeometry, MeasurementGeometry, MeasurementGeometry]
     omega0T: float
     relaxed: bool = False
     orthogonal: bool = field(init=False, default=True)
@@ -46,8 +61,9 @@ class MultiFieldConfig:
         fields = tuple(self.fields)
         if len(fields) != 3:
             raise ValueError(f"exactly three fields required, got {len(fields)}")
+        # the geometries check omega0T, before the orthogonality check
+        fields = tuple(MeasurementGeometry(f.xi, f.gamma, f.eta, self.omega0T) for f in fields)
         object.__setattr__(self, "fields", fields)
-        _check_omega0T(self.omega0T)
         u, v, w = (_unit_vector(f.gamma, f.eta) for f in fields)
         worst = max(
             abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
@@ -67,9 +83,9 @@ class MultiFieldConfig:
         half_pi = 0.5 * math.pi
         return cls(
             fields=(
-                FieldSpec(xi1, half_pi, 0.0, direction_index=1),
-                FieldSpec(xi2, half_pi, half_pi, direction_index=2),
-                FieldSpec(xi3, 0.0, 0.0, direction_index=3),
+                MeasurementGeometry(xi1, half_pi, 0.0),
+                MeasurementGeometry(xi2, half_pi, half_pi),
+                MeasurementGeometry(xi3, 0.0, 0.0),
             ),
             omega0T=omega0T,
         )
@@ -99,6 +115,8 @@ def successive_amplitude(config: MultiFieldConfig) -> complex:
 
     Term k (k = 1, 2, 3 in schedule order) picks up the relative phase
     e^{i (k-2) omega0T}; magnitudes per term match the simultaneous case.
+    At omega0T = 2 pi m it equals simultaneous_amplitude, both being zero;
+    the exact amplitudes differ (see the module docstring).
     """
     x = 0.5 * config.omega0T
     total = 0j
@@ -177,7 +195,4 @@ def simultaneous_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:
 def successive_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:
     """Schedule for three equal windows, one field each, constant coupling."""
     constant = CouplingProfile.constant()
-    return HamiltonianSchedule(tuple(
-        Segment(MeasurementGeometry(f.xi, f.gamma, f.eta, config.omega0T), constant)
-        for f in config.fields
-    ))
+    return HamiltonianSchedule(tuple(Segment(f, constant) for f in config.fields))

@@ -74,7 +74,7 @@ import numpy as np
 
 from .core import (
     _GRID_TABLE_MIN, _SINC_SERIES, CouplingProfile, MeasurementGeometry, ProfileKind, _cosine_shape,
-    coupling_eval, coupling_grid,
+    coupling_grid,
 )
 from .dyson import first_order_amplitude
 from .exact import amplitude_exact, survival_split
@@ -316,12 +316,13 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
     repeated; _compose still multiplies every copy.  Otherwise, on a uniform
     grid a built-in profile's couplings come from core.coupling_grid, which
     calls no cosine per step on a part of core._GRID_TABLE_MIN steps or
-    more; shorter parts share one cosine evaluation.  Tabulated profiles use
-    coupling_eval.  If every step of a part has p = |c|^2 <= 1/16, cos|c|
-    and sin|c|/|c| are their Taylor series in p, cut where the first omitted
-    term at the part's largest p is below 2**-64 (at most 7 terms), so no
-    step needs a sine or cosine.  A part with a larger step takes np.sqrt,
-    np.sin and np.cos.
+    more; shorter parts share one cosine evaluation.  Tabulated profiles
+    take np.interp on their knots, which is coupling_eval inside (0, 1),
+    where every sample lies.  If every step of a part has p = |c|^2 <= 1/16,
+    cos|c| and sin|c|/|c| are their Taylor series in p, cut where the first
+    omitted term at the part's largest p is below 2**-64 (at most 7 terms),
+    so no step needs a sine or cosine.  A part with a larger step takes
+    np.sqrt, np.sin and np.cos.
     """
     geom = seg.geom
     profile = seg.profile
@@ -362,7 +363,7 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
         ]
         if shared:
             s = left + offset * shared_width
-            pieces.insert(0, coupling_eval(profile, s) if profile.kind is ProfileKind.TABULATED
+            pieces.insert(0, np.interp(s, *profile._knots) if profile.kind is ProfileKind.TABULATED
                           else _cosine_shape(profile, s))
         g = _joined(pieces)
         g *= geom.xi

@@ -19,7 +19,6 @@ import protspin
 from protspin import core
 from protspin import (
     CouplingProfile,
-    FieldSpec,
     MeasurementGeometry,
     ProfileKind,
     coupling_eval,
@@ -64,42 +63,15 @@ class TestMeasurementGeometry:
             {"xi": 0.1, "gamma": math.pi + 0.01},
             {"xi": 0.1, "gamma": 0.5, "omega0T": -1.0},
             {"xi": math.nan, "gamma": 0.5},
+            {"xi": math.inf, "gamma": 0.5},
+            {"xi": 0.1, "gamma": math.nan},
+            {"xi": 0.1, "gamma": 0.5, "eta": math.inf},
+            {"xi": 0.1, "gamma": 0.5, "eta": math.nan},
         ],
     )
     def test_rejects_out_of_range_parameters(self, kwargs):
         with pytest.raises(ValueError):
             MeasurementGeometry(**kwargs)
-
-
-class TestFieldSpec:
-    @pytest.mark.parametrize(
-        "xi, gamma, eta",
-        [
-            (-0.1, 0.5, 0.0),
-            (math.nan, 0.5, 0.0),
-            (math.inf, 0.5, 0.0),
-            (0.1, -0.01, 0.0),
-            (0.1, math.pi + 0.01, 0.0),
-            (0.1, math.nan, 0.0),
-            (0.1, 0.5, math.inf),
-            (0.1, 0.5, math.nan),
-        ],
-    )
-    def test_rejects_what_geometry_rejects_with_same_message(self, xi, gamma, eta):
-        with pytest.raises(ValueError) as geom_error:
-            MeasurementGeometry(xi, gamma, eta)
-        with pytest.raises(ValueError) as field_error:
-            FieldSpec(xi, gamma, eta, direction_index=1)
-        assert str(field_error.value) == str(geom_error.value)
-
-    @pytest.mark.parametrize("index", [0, 4])
-    def test_rejects_direction_index_outside_one_to_three(self, index):
-        with pytest.raises(ValueError, match="direction_index must be 1, 2 or 3"):
-            FieldSpec(0.1, 0.5, 0.0, direction_index=index)
-
-    def test_eta_normalized_like_geometry(self):
-        for eta in (-0.25, 2.0 * math.pi + 0.25):
-            assert FieldSpec(0.1, 0.5, eta).eta == MeasurementGeometry(0.1, 0.5, eta).eta
 
 
 class TestDirectionAngles:

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import protspin
 from protspin import (
     CouplingProfile,
-    FieldSpec,
     MeasurementGeometry,
     MultiFieldConfig,
     SpinState,
     combined_field_geometry,
     direction_angles,
+    direction_vector,
     first_order_amplitude,
     propagate,
     simultaneous_amplitude,
@@ -38,40 +39,98 @@ class TestMultiFieldConfig:
         assert config.orthogonal
 
     def test_requires_three_fields(self):
-        fields = (FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.0, direction_index=1),) * 2
+        fields = (MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.0),) * 2
         with pytest.raises(ValueError):
             MultiFieldConfig(fields=fields, omega0T=5.0)
 
     def test_rejects_skewed_directions(self):
         fields = (
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.0, direction_index=1),
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.3, direction_index=2),
-            FieldSpec(xi=0.1, gamma=0.0, eta=0.0, direction_index=3),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.0),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.3),
+            MeasurementGeometry(xi=0.1, gamma=0.0, eta=0.0),
         )
         with pytest.raises(ValueError):
             MultiFieldConfig(fields=fields, omega0T=5.0)
 
     def test_relaxed_accepts_skewed_directions_with_flag(self):
         fields = (
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.0, direction_index=1),
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.3, direction_index=2),
-            FieldSpec(xi=0.1, gamma=0.0, eta=0.0, direction_index=3),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.0),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.3),
+            MeasurementGeometry(xi=0.1, gamma=0.0, eta=0.0),
         )
         config = MultiFieldConfig(fields=fields, omega0T=5.0, relaxed=True)
         assert not config.orthogonal
+
+    def test_checks_count_then_omega0T_then_orthogonality(self):
+        skewed = (
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.0),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.3),
+            MeasurementGeometry(xi=0.1, gamma=0.0, eta=0.0),
+        )
+        with pytest.raises(ValueError, match="exactly three fields required, got 2"):
+            MultiFieldConfig(fields=skewed[:2], omega0T=-1.0)
+        for omega0T in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"omega0T must be finite and >= 0, got {omega0T!r}"):
+                MultiFieldConfig(fields=skewed, omega0T=omega0T)
+
+    def test_stores_fields_with_its_omega0T(self):
+        given_fields = (
+            MeasurementGeometry(0.1, math.pi / 2, 0.0, omega0T=3.0),
+            MeasurementGeometry(0.2, math.pi / 2, math.pi / 2),
+            MeasurementGeometry(0.3, 0.0, 0.0, omega0T=1e9),
+        )
+        config = MultiFieldConfig(fields=given_fields, omega0T=12.0)
+        assert config.fields == tuple(
+            MeasurementGeometry(f.xi, f.gamma, f.eta, omega0T=12.0) for f in given_fields
+        )
+        segments = successive_schedule(config).segments
+        assert len(segments) == 3
+        assert all(seg.geom is f for seg, f in zip(segments, config.fields))
+
+
+class TestFieldSpecFactory:
+    def test_returns_the_geometry(self):
+        for k, eta in enumerate((0.3, -0.25, 2.0 * math.pi + 0.25), start=1):
+            field = protspin.FieldSpec(0.1, 0.5, eta, direction_index=k)
+            assert type(field) is MeasurementGeometry
+            assert field == MeasurementGeometry(0.1, 0.5, eta)
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_rejects_direction_index_outside_one_to_three(self, index):
+        with pytest.raises(ValueError, match="direction_index must be 1, 2 or 3"):
+            protspin.FieldSpec(0.1, 0.5, 0.0, direction_index=index)
+
+    @pytest.mark.parametrize(
+        "xi, gamma, eta",
+        [
+            (-0.1, 0.5, 0.0),
+            (math.nan, 0.5, 0.0),
+            (math.inf, 0.5, 0.0),
+            (0.1, -0.01, 0.0),
+            (0.1, math.pi + 0.01, 0.0),
+            (0.1, math.nan, 0.0),
+            (0.1, 0.5, math.inf),
+            (0.1, 0.5, math.nan),
+        ],
+    )
+    def test_rejects_what_geometry_rejects_with_same_message(self, xi, gamma, eta):
+        with pytest.raises(ValueError) as geom_error:
+            MeasurementGeometry(xi, gamma, eta)
+        with pytest.raises(ValueError) as field_error:
+            protspin.FieldSpec(xi, gamma, eta, direction_index=1)
+        assert str(field_error.value) == str(geom_error.value)
 
 
 # numpy's norm squares without scaling, so its sum underflows below ~1e-154
 strengths = st.one_of(st.just(0.0), st.floats(min_value=1e-150, max_value=2.0))
 fields_strategy = st.tuples(*[
     st.builds(
-        FieldSpec,
+        MeasurementGeometry,
         xi=strengths,
         gamma=st.floats(min_value=0.0, max_value=math.pi),
         eta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        direction_index=st.just(k),
     )
-    for k in (1, 2, 3)
+    for _ in range(3)
 ])
 
 
@@ -94,7 +153,7 @@ def numpy_combined(fields):
     """combined_field_geometry's (xi, gamma, eta) through numpy's vector algebra."""
     w = np.zeros(3)
     for f in fields:
-        w += f.xi * f.direction()
+        w += f.xi * direction_vector(f.gamma, f.eta)
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return 0.0, 0.0, 0.0
@@ -102,16 +161,13 @@ def numpy_combined(fields):
     xi = scale * float(np.linalg.norm(w / scale))
     gamma, eta = direction_angles(w / xi)
     if max(abs(w[0]), abs(w[1])) < 2.0 ** -969:
-        # the products in f.direction() and xi * n round to subnormal steps
+        # the products in direction_vector and xi * n round to subnormal steps
         eta = exact_azimuth(fields)
     return xi, gamma, eta
 
 
 def _fields(*specs):
-    return tuple(
-        FieldSpec(xi=xi, gamma=gamma, eta=eta, direction_index=k)
-        for k, (xi, gamma, eta) in enumerate(specs, start=1)
-    )
+    return tuple(MeasurementGeometry(xi=xi, gamma=gamma, eta=eta) for xi, gamma, eta in specs)
 
 
 class TestScalarGeometry:
@@ -134,10 +190,7 @@ class TestScalarGeometry:
 
     def test_tiny_field_keeps_its_direction(self):
         def combined(xi):
-            fields = tuple(
-                FieldSpec(xi=x, gamma=1.0, eta=2.0, direction_index=k + 1)
-                for k, x in enumerate((0.0, 0.0, xi))
-            )
+            fields = tuple(MeasurementGeometry(xi=x, gamma=1.0, eta=2.0) for x in (0.0, 0.0, xi))
             return combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
 
         tiny = combined(3e-199)
@@ -150,16 +203,16 @@ class TestScalarGeometry:
     @given(fields=fields_strategy)
     def test_orthogonality_flag_matches_numpy(self, fields):
         config = MultiFieldConfig(fields, omega0T=1.0, relaxed=True)
-        dirs = [f.direction() for f in fields]
+        dirs = [direction_vector(f.gamma, f.eta) for f in fields]
         worst = max(abs(float(np.dot(dirs[i], dirs[j]))) for i, j in ((0, 1), (0, 2), (1, 2)))
         if abs(worst - 1e-12) > 1e-15:
             assert config.orthogonal == (worst < 1e-12)
 
     def test_runs_without_numpy_vector_algebra(self, monkeypatch):
         fields = (
-            FieldSpec(xi=0.1, gamma=1.1, eta=0.4, direction_index=1),
-            FieldSpec(xi=0.2, gamma=0.3, eta=2.0, direction_index=2),
-            FieldSpec(xi=0.3, gamma=2.5, eta=5.0, direction_index=3),
+            MeasurementGeometry(xi=0.1, gamma=1.1, eta=0.4),
+            MeasurementGeometry(xi=0.2, gamma=0.3, eta=2.0),
+            MeasurementGeometry(xi=0.3, gamma=2.5, eta=5.0),
         )
         expected = combined_field_geometry(MultiFieldConfig(fields, omega0T=7.0, relaxed=True))
         forbid_numpy_vector_algebra(monkeypatch)
@@ -171,9 +224,9 @@ class TestScalarGeometry:
 
     def test_skew_message_names_the_worst_product(self):
         fields = (
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.0, direction_index=1),
-            FieldSpec(xi=0.1, gamma=math.pi / 2, eta=0.3, direction_index=2),
-            FieldSpec(xi=0.1, gamma=0.0, eta=0.0, direction_index=3),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.0),
+            MeasurementGeometry(xi=0.1, gamma=math.pi / 2, eta=0.3),
+            MeasurementGeometry(xi=0.1, gamma=0.0, eta=0.0),
         )
         with pytest.raises(ValueError, match=f"worst [|]n_i . n_j[|] = {math.cos(0.3)!r}"):
             MultiFieldConfig(fields=fields, omega0T=5.0)
@@ -187,9 +240,7 @@ class TestSimultaneousAmplitude:
         assert abs(simultaneous_amplitude(config) - single) < 1e-15
 
     def test_all_axial_fields_give_zero(self):
-        fields = tuple(
-            FieldSpec(xi=0.1, gamma=0.0, eta=0.0, direction_index=k) for k in (1, 2, 3)
-        )
+        fields = (MeasurementGeometry(xi=0.1, gamma=0.0, eta=0.0),) * 3
         config = MultiFieldConfig(fields=fields, omega0T=8.0, relaxed=True)
         assert simultaneous_amplitude(config) == 0.0
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from protspin import (
     ConvergenceError,
     CouplingProfile,
-    FieldSpec,
     HamiltonianSchedule,
     MeasurementGeometry,
     MultiFieldConfig,
@@ -352,9 +351,9 @@ def exact_schedule_unitary(schedule):
 def three_field_config(omega0T):
     return MultiFieldConfig(
         fields=(
-            FieldSpec(0.4, 0.7, 0.2, direction_index=1),
-            FieldSpec(0.3, 0.7 + 0.5 * math.pi, 0.2, direction_index=2),
-            FieldSpec(0.2, 0.5 * math.pi, 0.2 + 0.5 * math.pi, direction_index=3),
+            MeasurementGeometry(0.4, 0.7, 0.2),
+            MeasurementGeometry(0.3, 0.7 + 0.5 * math.pi, 0.2),
+            MeasurementGeometry(0.2, 0.5 * math.pi, 0.2 + 0.5 * math.pi),
         ),
         omega0T=omega0T,
     )
@@ -742,11 +741,7 @@ class TestStaticFastPath:
     @staticmethod
     def static_schedules(geoms):
         """One field alone, then three fields in succession and superposed."""
-        config = MultiFieldConfig(
-            tuple(FieldSpec(g.xi, g.gamma, g.eta, direction_index=k + 1) for k, g in enumerate(geoms)),
-            omega0T=geoms[0].omega0T,
-            relaxed=True,
-        )
+        config = MultiFieldConfig(geoms, omega0T=geoms[0].omega0T, relaxed=True)
         return (
             HamiltonianSchedule.single(geoms[0], CouplingProfile.constant()),
             successive_schedule(config),
