@@ -97,6 +97,22 @@ class MeasurementGeometry:
         object.__setattr__(self, "eta", self.eta % TWO_PI)
 
 
+def _at_omega0T(source, omega0T: float) -> MeasurementGeometry:
+    """The geometry of source at omega0T; of a MeasurementGeometry only omega0T is checked."""
+    if type(source) is not MeasurementGeometry:
+        return MeasurementGeometry(source.xi, source.gamma, source.eta, omega0T)
+    _check_omega0T(omega0T)
+    geom = object.__new__(MeasurementGeometry)
+    # Set one by one, as __init__ does: a geometry whose __dict__ was touched
+    # reads its attributes more slowly in the oracle.  eta is reduced again,
+    # as __post_init__ would: a tiny negative eta was stored as TWO_PI.
+    object.__setattr__(geom, "xi", source.xi)
+    object.__setattr__(geom, "gamma", source.gamma)
+    object.__setattr__(geom, "eta", source.eta % TWO_PI)
+    object.__setattr__(geom, "omega0T", omega0T)
+    return geom
+
+
 def direction_angles(n) -> tuple[float, float]:
     """Polar and azimuthal angles (gamma, eta) of a unit vector n.
 

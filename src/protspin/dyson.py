@@ -22,6 +22,7 @@ from .core import (
     CouplingProfile,
     MeasurementGeometry,
     ProfileKind,
+    _check_omega0T,
     phased_integral,
 )
 
@@ -106,15 +107,19 @@ def envelope_closed_form(kind: ProfileKind, geom: MeasurementGeometry) -> float:
     The smooth forms only hold well past the profile harmonics, so they
     refuse omega0T < 4*pi.  Tabulated profiles have no closed form.
     """
-    base = geom.xi * math.sin(geom.gamma)
+    return _envelope(kind, geom.xi * math.sin(geom.gamma), geom.omega0T)
+
+
+def _envelope(kind: ProfileKind, base: float, omega0T: float) -> float:
+    """envelope_closed_form for base = xi sin(gamma) at a checked omega0T."""
     if kind is ProfileKind.CONSTANT:
         return base
     if kind is ProfileKind.TABULATED:
         raise ValueError("no closed-form envelope for tabulated profiles")
-    if geom.omega0T < MIN_SMOOTH_OMEGA0T:
+    if omega0T < MIN_SMOOTH_OMEGA0T:
         raise ValueError(
             f"closed-form envelope for {kind.value} requires omega0T >= 4*pi, "
-            f"got {geom.omega0T!r}"
+            f"got {omega0T!r}"
         )
     if kind is ProfileKind.RAISED_COSINE:
         c, n = math.pi ** 2, 2
@@ -122,7 +127,7 @@ def envelope_closed_form(kind: ProfileKind, geom: MeasurementGeometry) -> float:
         c, n = 4.0 * math.pi ** 4, 4
     else:
         raise ValueError(f"unsupported profile kind {kind!r}")
-    x = 0.5 * geom.omega0T
+    x = 0.5 * omega0T
     # float ** raises OverflowError instead of returning inf, and x**n is finite
     # below 2^(1024/n).  Past that, or where base c overflows, the envelope
     # (finite, as x >= 2 pi) is formed with the binary exponents split off.
@@ -140,8 +145,7 @@ def reduction_ratio(kind: ProfileKind, omega0T: float) -> float:
     """
     if kind is ProfileKind.CONSTANT:
         return 1.0
-    reference = MeasurementGeometry(xi=1.0, gamma=0.5 * math.pi, omega0T=omega0T)
-    ratio = envelope_closed_form(kind, reference) / envelope_closed_form(
-        ProfileKind.CONSTANT, reference
-    )
+    _check_omega0T(omega0T)
+    base = 1.0 * math.sin(0.5 * math.pi)  # xi sin(gamma) at xi = 1, gamma = pi/2
+    ratio = _envelope(kind, base, omega0T) / base
     return ratio * ratio

@@ -9,6 +9,7 @@ theta from z, with magnitude ratio
 relative to the protection field alone.  Diagonalizing in the tilted basis
 gives the spin-flip amplitude exactly, and everything else here (envelope,
 small-xi limit, momentum-reversal weights) follows from that one solution.
+Inputs are validated once, by MeasurementGeometry; the helpers take them as they are.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _branch_weights(geom: MeasurementGeometry, b: float) -> tuple[float, float]:
     return small, 1.0 - small
 
 
+def _nonzero_b_ratio(geom: MeasurementGeometry) -> float:
+    """_b_ratio(geom), or DegenerateFieldError where the total field vanishes."""
+    b = _b_ratio(geom)
+    if b == 0.0:
+        raise DegenerateFieldError(f"total field vanishes at xi={geom.xi!r}, gamma={geom.gamma!r}")
+    return b
+
+
 def tilted_field(geom: MeasurementGeometry) -> TiltedField:
     """Tilted-basis parameters (b, cos(theta), sin(theta)) for constant coupling.
 
@@ -104,11 +113,7 @@ def tilted_field(geom: MeasurementGeometry) -> TiltedField:
         If the measurement field exactly cancels the protection field
         (xi = 1 with gamma = pi), where no tilted basis exists.
     """
-    b = _b_ratio(geom)
-    if b == 0.0:
-        raise DegenerateFieldError(
-            f"total field vanishes at xi={geom.xi!r}, gamma={geom.gamma!r}"
-        )
+    b = _nonzero_b_ratio(geom)
     cos_theta = _rim(geom, b) / b
     sin_theta = geom.xi * math.sin(geom.gamma) / b
     cos_theta = min(1.0, max(-1.0, cos_theta))
@@ -147,11 +152,7 @@ def amplitude_envelope(geom: MeasurementGeometry) -> TransitionResult:
     omega0T.  The probability is clamped to 1 as a round-off guard; equality
     is only approached toward the degenerate field point.
     """
-    b = _b_ratio(geom)
-    if b == 0.0:
-        raise DegenerateFieldError(
-            f"total field vanishes at xi={geom.xi!r}, gamma={geom.gamma!r}"
-        )
+    b = _nonzero_b_ratio(geom)
     amp = 1j * cmath.exp(1j * geom.eta) * geom.xi * math.sin(geom.gamma) / b
     prob = abs(amp) ** 2
     if prob > 1.0:
@@ -189,9 +190,9 @@ def survival_split(geom: MeasurementGeometry) -> tuple[complex, complex]:
 
     with phi = (omega0T/2) b.  Raises ValueError where phi overflows.
     """
-    tf = tilted_field(geom)
-    w_plus, w_minus = _branch_weights(geom, tf.b_ratio)
-    phi = _phase(geom, tf.b_ratio)
+    b = _nonzero_b_ratio(geom)
+    w_plus, w_minus = _branch_weights(geom, b)
+    phi = _phase(geom, b)
     phase = cmath.exp(1j * phi)
     return w_plus * phase, w_minus / phase
 
@@ -204,8 +205,7 @@ def reversal_probability(geom: MeasurementGeometry) -> tuple[float, float]:
         exact         = w_-^2 / (w_+^2 + w_-^2),   w_+- = (1 +- cos theta)/2
         leading_order = (xi sin(gamma) / 2)^4.
     """
-    tf = tilted_field(geom)
-    w_plus, w_minus = _branch_weights(geom, tf.b_ratio)
+    w_plus, w_minus = _branch_weights(geom, _nonzero_b_ratio(geom))
     exact = w_minus * w_minus / (w_plus * w_plus + w_minus * w_minus)
     half = 0.5 * geom.xi * math.sin(geom.gamma)
     # float ** raises OverflowError instead of returning inf; half**4 is

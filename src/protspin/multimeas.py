@@ -9,8 +9,10 @@ protocols agree at first order, where both amplitudes are zero
 (sinc(omega0T/2) = 0), but the exact amplitudes differ: the fields shift
 the transition frequency off that zero.
 
-Directions, their dot products and the superposed field are scalar float
-arithmetic; this module does not use numpy.
+Each field is validated once, when its MeasurementGeometry is built; a
+config checks only its omega0T and the orthogonality, and the helpers take
+validated floats.  Directions, their dot products and the superposed field
+are scalar float arithmetic; this module does not use numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import CouplingProfile, MeasurementGeometry, _unit_vector, sinc
+from .core import CouplingProfile, MeasurementGeometry, _at_omega0T, _unit_vector, sinc
 from .oracle import HamiltonianSchedule, Segment
 
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -61,13 +63,17 @@ class MultiFieldConfig:
         fields = tuple(self.fields)
         if len(fields) != 3:
             raise ValueError(f"exactly three fields required, got {len(fields)}")
-        # the geometries check omega0T, before the orthogonality check
-        fields = tuple(MeasurementGeometry(f.xi, f.gamma, f.eta, self.omega0T) for f in fields)
-        object.__setattr__(self, "fields", fields)
-        u, v, w = (_unit_vector(f.gamma, f.eta) for f in fields)
+        # omega0T is checked before the orthogonality check
+        f1, f2, f3 = fields
+        omega0T = self.omega0T
+        f1, f2, f3 = _at_omega0T(f1, omega0T), _at_omega0T(f2, omega0T), _at_omega0T(f3, omega0T)
+        object.__setattr__(self, "fields", (f1, f2, f3))
+        u, v, w = (_unit_vector(f1.gamma, f1.eta), _unit_vector(f2.gamma, f2.eta),
+                   _unit_vector(f3.gamma, f3.eta))
         worst = max(
-            abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-            for a, b in ((u, v), (u, w), (v, w))
+            abs(u[0] * v[0] + u[1] * v[1] + u[2] * v[2]),
+            abs(u[0] * w[0] + u[1] * w[1] + u[2] * w[2]),
+            abs(v[0] * w[0] + v[1] * w[1] + v[2] * w[2]),
         )
         ok = worst < ORTHOGONALITY_TOLERANCE
         object.__setattr__(self, "orthogonal", ok)

@@ -8,7 +8,8 @@ reconstruction stays a pure state while its overlap with the true one drops.
 
 The 3-vector and 2x2 algebra here is written out in scalar float arithmetic:
 on vectors this short numpy's fixed cost per call would be nearly all of the
-time.  Public results are still ndarrays where they were.
+time.  Public results are still ndarrays where they were.  Inputs are
+validated once, by the public constructors; the helpers take valid floats.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .oracle import SpinState
 ORTHONORMALITY_TOLERANCE = 1e-9
 BLOCH_EXCESS_TOLERANCE = 1e-9
 _HERMITICITY_TOLERANCE = 1e-12
+_PLUS = SpinState.plus()
 
 
 @dataclass(frozen=True)
@@ -40,21 +42,23 @@ class DensityMatrix:
     rho11: complex
 
     def __post_init__(self):
-        for name in ("rho00", "rho01", "rho10", "rho11"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.rho10 - self.rho01.conjugate()) > _HERMITICITY_TOLERANCE:
+        rho00, rho01 = complex(self.rho00), complex(self.rho01)
+        rho10, rho11 = complex(self.rho10), complex(self.rho11)
+        self.__dict__.update(rho00=rho00, rho01=rho01, rho10=rho10, rho11=rho11)
+        # each test is written to fail on NaN
+        if not abs(rho10 - rho01.conjugate()) <= _HERMITICITY_TOLERANCE:
             raise ValueError("density matrix must be Hermitian")
-        if abs(self.rho00.imag) > _HERMITICITY_TOLERANCE or abs(self.rho11.imag) > _HERMITICITY_TOLERANCE:
+        if not (abs(rho00.imag) <= _HERMITICITY_TOLERANCE and abs(rho11.imag) <= _HERMITICITY_TOLERANCE):
             raise ValueError("diagonal entries must be real")
-        if abs(self.rho00 + self.rho11 - 1.0) > _HERMITICITY_TOLERANCE:
+        if not abs(rho00 + rho11 - 1.0) <= _HERMITICITY_TOLERANCE:
             raise ValueError("trace must equal 1")
-        det = (self.rho00 * self.rho11 - self.rho01 * self.rho10).real
-        if self.rho00.real < -1e-12 or self.rho11.real < -1e-12 or det < -1e-12:
+        det = (rho00 * rho11 - rho01 * rho10).real
+        if not (rho00.real >= -1e-12 and rho11.real >= -1e-12 and det >= -1e-12):
             raise ValueError("density matrix must be positive semidefinite")
 
     @classmethod
     def from_bloch(cls, r) -> "DensityMatrix":
-        rx, ry, rz = (float(c) for c in r)
+        rx, ry, rz = map(float, r)
         return cls(
             rho00=0.5 * (1.0 + rz),
             rho01=0.5 * (rx - 1j * ry),
@@ -88,6 +92,25 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _bloch_sum(directions, values) -> tuple[float, float, float]:
+    """r = sum_k e_k n_k as plain floats, for three directions n_k and values e_k."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = directions
+    e1, e2, e3 = values
+    return (
+        ax * e1 + bx * e2 + cx * e3,
+        ay * e1 + by * e2 + cy * e3,
+        az * e1 + bz * e2 + cz * e3,
+    )
+
+
+def _clip_to_sphere(r) -> tuple[tuple[float, float, float], bool]:
+    """(r, False) for |r| <= 1, else (r/|r|, True)."""
+    norm = math.hypot(*r)
+    if norm > 1.0:
+        return (r[0] / norm, r[1] / norm, r[2] / norm), True
+    return r, False
+
+
 @dataclass(frozen=True)
 class ExpectationTriple:
     """Spin expectation values along an orthonormal direction triple."""
@@ -96,39 +119,28 @@ class ExpectationTriple:
     values: tuple[float, float, float]
 
     def __post_init__(self):
-        dirs = tuple(tuple(float(c) for c in d) for d in self.directions)
-        vals = tuple(float(v) for v in self.values)
-        if len(dirs) != 3 or any(len(d) != 3 for d in dirs):
+        dirs = tuple([tuple(map(float, d)) for d in self.directions])
+        vals = tuple(map(float, self.values))
+        if len(dirs) != 3 or list(map(len, dirs)) != [3, 3, 3]:
             raise ValueError("directions must be three 3-vectors")
         if len(vals) != 3:
             raise ValueError("exactly three expectation values required")
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(directions=dirs, values=vals)
         d1, d2, d3 = dirs
-        gram_defects = (
+        gram_defects = [
             _dot(d1, d1) - 1.0, _dot(d2, d2) - 1.0, _dot(d3, d3) - 1.0,
             _dot(d1, d2), _dot(d1, d3), _dot(d2, d3),
-        )
-        if not all(abs(e) <= ORTHONORMALITY_TOLERANCE for e in gram_defects):
+        ]
+        if not all([abs(e) <= ORTHONORMALITY_TOLERANCE for e in gram_defects]):
             raise ValueError("directions must form an orthonormal triple")
-        if not all(abs(v) <= 1.0 + BLOCH_EXCESS_TOLERANCE for v in vals):
+        if not all([abs(v) <= 1.0 + BLOCH_EXCESS_TOLERANCE for v in vals]):
             raise ValueError(f"expectation values must lie in [-1, 1], got {vals!r}")
-        norm = math.hypot(*self._bloch())
+        norm = math.hypot(*_bloch_sum(dirs, vals))
         if norm > 1.0 + BLOCH_EXCESS_TOLERANCE:
             raise ValueError(f"expectation values imply |r| = {norm!r} > 1")
 
-    def _bloch(self) -> tuple[float, float, float]:
-        """r = sum_k e_k n_k as plain floats."""
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = self.directions
-        e1, e2, e3 = self.values
-        return (
-            ax * e1 + bx * e2 + cx * e3,
-            ay * e1 + by * e2 + cy * e3,
-            az * e1 + bz * e2 + cz * e3,
-        )
-
     def bloch_vector(self) -> np.ndarray:
-        return np.array(self._bloch())
+        return np.array(_bloch_sum(self.directions, self.values))
 
 
 @dataclass(frozen=True)
@@ -144,11 +156,7 @@ def reconstruct_state(data: ExpectationTriple) -> ReconstructionResult:
     A Bloch vector pushed past unit length by measurement noise is clipped
     radially back to the sphere and flagged.
     """
-    r = data._bloch()
-    norm = math.hypot(*r)
-    clipped = norm > 1.0
-    if clipped:
-        r = (r[0] / norm, r[1] / norm, r[2] / norm)
+    r, clipped = _clip_to_sphere(_bloch_sum(data.directions, data.values))
     return ReconstructionResult(
         rho=DensityMatrix.from_bloch(r), bloch_vector=np.array(r), clipped=clipped
     )
@@ -194,6 +202,7 @@ def corrupted_reconstruction(gamma: float, eta: float = 0.0) -> tuple[DensityMat
     """
     _check_gamma(gamma)
     n1, n2, n3 = _triple(gamma, eta)
-    triple = ExpectationTriple(directions=(n1, n2, n3), values=(n1[2], n2[2], -n3[2]))
-    result = reconstruct_state(triple)
-    return result.rho, fidelity(result.rho, SpinState.plus())
+    # _triple is orthonormal by construction, so no ExpectationTriple checks it
+    r, _ = _clip_to_sphere(_bloch_sum((n1, n2, n3), (n1[2], n2[2], -n3[2])))
+    rho = DensityMatrix.from_bloch(r)
+    return rho, fidelity(rho, _PLUS)

@@ -1,6 +1,8 @@
-"""Shared test utilities: brute-force references, an older oracle kernel and driver, and geometry sampling."""
+"""Shared test utilities: brute-force references, an older oracle kernel and driver, the closed forms'
+earlier compositions, and geometry sampling."""
 
 import bisect
+import cmath
 import math
 from pathlib import Path
 
@@ -8,14 +10,21 @@ import numpy as np
 
 from protspin import (
     CouplingProfile,
+    ExpectationTriple,
     HamiltonianSchedule,
     MeasurementGeometry,
     ProfileKind,
     SpinState,
     coupling_eval,
+    envelope_closed_form,
+    exact,
+    fidelity,
     oracle,
+    reconstruct,
+    reconstruct_state,
+    tilted_field,
 )
-from protspin.core import coupling_grid
+from protspin.core import _check_gamma, coupling_grid
 
 
 def simpson_phased_integral(profile, omega0T, n=2**16):
@@ -272,3 +281,46 @@ def reference_adaptive(schedule, psi, order):
     raise oracle.ConvergenceError(
         f"no convergence to {oracle.ADAPTIVE_TOLERANCE} within {oracle.MAX_ADAPTIVE_STEPS} steps"
     )
+
+
+def outcome(call, *args):
+    """repr of what call(*args) returns, or the type and message of what it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the error, type and message, is the result compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+# The closed-form entry points as they were composed before they stopped
+# building objects they throw away: a reference geometry, a TiltedField, an
+# ExpectationTriple and a ReconstructionResult.  The library must match them
+# bit for bit and raise the same errors.
+def reference_reduction_ratio(kind, omega0T):
+    if kind is ProfileKind.CONSTANT:
+        return 1.0
+    geom = MeasurementGeometry(xi=1.0, gamma=0.5 * math.pi, omega0T=omega0T)
+    ratio = envelope_closed_form(kind, geom) / envelope_closed_form(ProfileKind.CONSTANT, geom)
+    return ratio * ratio
+
+
+def reference_survival_split(geom):
+    tf = tilted_field(geom)
+    w_plus, w_minus = exact._branch_weights(geom, tf.b_ratio)
+    phase = cmath.exp(1j * exact._phase(geom, tf.b_ratio))
+    return w_plus * phase, w_minus / phase
+
+
+def reference_reversal_probability(geom):
+    tf = tilted_field(geom)
+    w_plus, w_minus = exact._branch_weights(geom, tf.b_ratio)
+    exact_value = w_minus * w_minus / (w_plus * w_plus + w_minus * w_minus)
+    half = 0.5 * geom.xi * math.sin(geom.gamma)
+    return exact_value, (half ** 4 if half < 2.0 ** 256 else math.inf)
+
+
+def reference_corrupted_reconstruction(gamma, eta=0.0):
+    _check_gamma(gamma)
+    n1, n2, n3 = reconstruct._triple(gamma, eta)
+    triple = ExpectationTriple(directions=(n1, n2, n3), values=(n1[2], n2[2], -n3[2]))
+    result = reconstruct_state(triple)
+    return result.rho, fidelity(result.rho, SpinState.plus())

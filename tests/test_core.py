@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from protspin import (
     normalization_residual,
     phased_integral,
 )
+import reference
 from helpers import (
     line_loop_samples,
     panel_omegas,
@@ -402,34 +403,17 @@ class TestPhasedIntegral:
             assert abs(phased_integral(profile, 10.0) - cases[profile.kind]) < 1e-12
 
 
-# 50 digits of pi for the decimal references below.
-PI_DEC = Decimal("3.1415926535897932384626433832795028841971693993751")
-
-
-def _decimal_sinc(x):
-    """sin(x)/x from its Taylor series, in the current decimal context."""
-    term = total = Decimal(1)
-    x2 = x * x
-    k = 1
-    while abs(term) > Decimal("1e-45"):
-        term *= -x2 / ((2 * k) * (2 * k + 1))
-        total += term
-        k += 1
-    return total
-
-
 def _sinc_sum(x, weights):
     """sum_k w_k (sinc(x + k pi) + sinc(x - k pi)) / (1 if k else 2) at 60 digits.
 
     The cancellation-free form of the spectral factors: its terms have no
     pole, so evaluated in high precision it is a reference to rounding.
     """
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with reference.context():
         xd = Decimal(x)
-        total = weights[0] * _decimal_sinc(xd)
+        total = weights[0] * reference.sinc(xd)
         for k, w in enumerate(weights[1:], start=1):
-            total += w * (_decimal_sinc(xd + k * PI_DEC) + _decimal_sinc(xd - k * PI_DEC))
+            total += w * (reference.sinc(xd + k * reference.PI) + reference.sinc(xd - k * reference.PI))
         return float(total)
 
 

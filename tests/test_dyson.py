@@ -21,7 +21,14 @@ from protspin import (
     reduction_ratio,
 )
 from protspin import core
-from helpers import panel_omegas, reference_knot_integral, signed_profiles
+import reference
+from helpers import (
+    outcome,
+    panel_omegas,
+    reference_knot_integral,
+    reference_reduction_ratio,
+    signed_profiles,
+)
 
 BUILTINS = [
     CouplingProfile.constant(),
@@ -187,14 +194,15 @@ class TestEnvelopeClosedForm:
     def test_past_the_power_overflow(self, xi, omega0T):
         # x**4 overflows past x = 2^256, x**2 past 2^512, xi 4 pi^4 past 4.6e305
         geom = MeasurementGeometry(xi=xi, gamma=math.pi / 2, omega0T=omega0T)
-        x = Decimal(omega0T) / 2
-        base = Decimal(xi) * Decimal(math.sin(geom.gamma))
-        for kind, ref in [
-            (ProfileKind.RAISED_COSINE, base * Decimal(math.pi) ** 2 / x**2),
-            (ProfileKind.OPTIMIZED, 4 * base * Decimal(math.pi) ** 4 / x**4),
-        ]:
-            value = envelope_closed_form(kind, geom)
-            assert abs(Decimal(value) - ref) <= Decimal(1e-15) * ref + Decimal(5e-324), kind
+        with reference.context():
+            x = Decimal(omega0T) / 2
+            base = Decimal(xi) * reference.sin(geom.gamma)
+            for kind, ref in [
+                (ProfileKind.RAISED_COSINE, base * reference.PI ** 2 / x**2),
+                (ProfileKind.OPTIMIZED, 4 * base * reference.PI ** 4 / x**4),
+            ]:
+                value = envelope_closed_form(kind, geom)
+                assert abs(Decimal(value) - ref) <= Decimal(1e-15) * ref + Decimal(5e-324), kind
 
     @pytest.mark.parametrize("kind", [ProfileKind.RAISED_COSINE, ProfileKind.OPTIMIZED])
     def test_smooth_kinds_refuse_small_budgets(self, kind):
@@ -225,3 +233,37 @@ class TestReductionRatio:
         ratios = np.array([reduction_ratio(kind, float(om)) for om in omegas])
         fit = np.polyfit(np.log(omegas), np.log(ratios), 1)
         assert abs(fit[0] - slope) < 0.05
+
+
+class TestReductionRatioMatchesTwoEnvelopes:
+    """reduction_ratio equals (env/base)^2 of two envelope_closed_form calls on a reference geometry."""
+
+    FOUR_PI = 4.0 * math.pi
+    OMEGAS = (
+        [FOUR_PI, math.nextafter(FOUR_PI, 0.0), FOUR_PI - 1e-9, FOUR_PI - 1e-3, math.nextafter(FOUR_PI, 20.0)]
+        + np.geomspace(FOUR_PI, 1e308, 61).tolist()
+        # past 2^257 x^4 and past 2^513 x^2 overflow: the frexp branch
+        + [2.0**257, 2.0**258, 2.0**513, 2.0**514, 2.0**600, 1e308, 1.7976931348623157e308]
+    )
+
+    @pytest.mark.parametrize("kind", list(ProfileKind))
+    def test_equals_the_two_envelope_formula(self, kind):
+        for omega0T in self.OMEGAS:
+            assert outcome(reduction_ratio, kind, omega0T) == outcome(
+                reference_reduction_ratio, kind, omega0T), omega0T
+
+    @pytest.mark.parametrize("kind", list(ProfileKind))
+    @pytest.mark.parametrize("omega0T", [math.nan, -1.0, math.inf, -math.inf, 4.0 * math.pi - 1e-3, 5.0, 0.0])
+    def test_raises_what_the_two_envelope_formula_raises(self, kind, omega0T):
+        got = outcome(reduction_ratio, kind, omega0T)
+        assert got == outcome(reference_reduction_ratio, kind, omega0T)
+        if kind is not ProfileKind.CONSTANT:
+            assert got.startswith("ValueError: ")
+
+    def test_error_order_is_omega0T_then_kind_then_budget(self):
+        assert outcome(reduction_ratio, ProfileKind.TABULATED, math.nan) == (
+            "ValueError: omega0T must be finite and >= 0, got nan")
+        assert outcome(reduction_ratio, ProfileKind.TABULATED, 1.0) == (
+            "ValueError: no closed-form envelope for tabulated profiles")
+        assert outcome(reduction_ratio, ProfileKind.OPTIMIZED, 1.0).startswith(
+            "ValueError: closed-form envelope for optimized requires omega0T >= 4*pi")

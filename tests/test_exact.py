@@ -1,7 +1,7 @@
 """Closed-form constant-coupling solution and momentum-branch analysis."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +19,8 @@ from protspin import (
     xi_bound,
 )
 from protspin.dyson import _SUBNORMAL_ALLOWANCE
+import reference
+from helpers import outcome, reference_reversal_probability, reference_survival_split
 
 geometries = st.builds(
     MeasurementGeometry,
@@ -213,29 +215,6 @@ class TestReversalProbability:
         assert leading >= 0.0
 
 
-# pi to 50 digits, beyond the float gamma near it
-_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
-
-
-def _decimal_series(x, first, step):
-    """Sum of the alternating series first - first x^2/step(1) + ..., to 1e-55 of the first term."""
-    term = total = first
-    k = 1
-    while abs(term) > Decimal("1e-55") * abs(first):
-        term = -term * x * x / step(k)
-        total += term
-        k += 1
-    return total
-
-
-def _decimal_sin(x):
-    return _decimal_series(x, x, lambda k: (2 * k) * (2 * k + 1))
-
-
-def _decimal_cos(x):
-    return _decimal_series(x, Decimal(1), lambda k: (2 * k - 1) * (2 * k))
-
-
 def _near_degenerate_reference(geom):
     """Envelope magnitude, survival branches and reversal probability, in 60-digit decimal.
 
@@ -243,18 +222,17 @@ def _near_degenerate_reference(geom):
     gamma from pi, 1 + xi cos(gamma) = (1 - xi) + 2 xi sin^2(e/2) and
     b^2 = (1 - xi)^2 + 4 xi sin^2(e/2), so no step cancels.
     """
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with reference.context():
         xi = Decimal(geom.xi)
-        e = _PI_50 - Decimal(geom.gamma)
-        sin_e, sin_half = _decimal_sin(e), _decimal_sin(e / 2)
-        b = ((1 - xi) ** 2 + 4 * xi * sin_half**2).sqrt()
+        e = reference.PI - Decimal(geom.gamma)
+        sin_e, sin_half = reference.sin(e), reference.sin(e / 2)
+        b = reference.sqrt((1 - xi) ** 2 + 4 * xi * sin_half**2)
         rim = (1 - xi) + 2 * xi * sin_half**2
         envelope = xi * sin_e / b
         w_minus = (xi * sin_e) ** 2 / (2 * b * (b + rim))
         w_plus = 1 - w_minus
         phi = Decimal(geom.omega0T) / 2 * b
-        cos_phi, sin_phi = _decimal_cos(phi), _decimal_sin(phi)
+        cos_phi, sin_phi = reference.cos(phi), reference.sin(phi)
         correct = complex(w_plus * cos_phi, w_plus * sin_phi)
         reversed_ = complex(w_minus * cos_phi, -w_minus * sin_phi)
         reversal = w_minus**2 / (w_plus**2 + w_minus**2)
@@ -294,18 +272,17 @@ class TestNearDegeneratePoint:
 
 def _decimal_reference(geom):
     """tilted_field, envelope, exact amplitude, survival branches and reversal in 60-digit decimal."""
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with reference.context():
         xi, gamma = Decimal(geom.xi), Decimal(geom.gamma)
-        sin_g, cos_g = _decimal_sin(gamma), _decimal_cos(gamma)
-        b = (1 + xi * xi + 2 * xi * cos_g).sqrt()
+        sin_g, cos_g = reference.sin(gamma), reference.cos(gamma)
+        b = reference.sqrt(1 + xi * xi + 2 * xi * cos_g)
         rim = 1 + xi * cos_g
         small = (xi * sin_g) ** 2 / (2 * b * (b + abs(rim)))
         w_plus, w_minus = (1 - small, small) if rim >= 0 else (small, 1 - small)
         x = Decimal(geom.omega0T) / 2
         phi = x * b
-        cos_phi, sin_phi = _decimal_cos(phi), _decimal_sin(phi)
-        cos_eta, sin_eta = _decimal_cos(Decimal(geom.eta)), _decimal_sin(Decimal(geom.eta))
+        cos_phi, sin_phi = reference.cos(phi), reference.sin(phi)
+        cos_eta, sin_eta = reference.cos(Decimal(geom.eta)), reference.sin(Decimal(geom.eta))
         flip = x * xi * sin_g * sin_phi / phi
         return {
             "b_over_xi": float(b / xi),
@@ -385,3 +362,36 @@ class TestHugeFieldRatio:
     def test_overflowing_phase_is_refused(self, call, xi, omega0T):
         with pytest.raises(ValueError, match=r"\(omega0T/2\)\*b overflows"):
             call(MeasurementGeometry(xi=xi, gamma=1.0, omega0T=omega0T))
+
+
+class TestBranchesWithoutTiltedField:
+    """survival_split and reversal_probability equal their tilted_field-based forms, errors included."""
+
+    @staticmethod
+    def assert_same(geom):
+        assert outcome(survival_split, geom) == outcome(reference_survival_split, geom)
+        assert outcome(reversal_probability, geom) == outcome(reference_reversal_probability, geom)
+
+    @pytest.mark.parametrize("omega0T", [0.0, 10.0, 1e3])
+    @pytest.mark.parametrize("d", TestNearDegeneratePoint.OFFSETS + [0.0])
+    def test_near_degenerate_points(self, d, omega0T):
+        self.assert_same(MeasurementGeometry(xi=1.0 - d, gamma=math.pi - d, eta=0.3, omega0T=omega0T))
+        self.assert_same(MeasurementGeometry(xi=1.0 - d, gamma=math.pi, omega0T=omega0T))
+        self.assert_same(MeasurementGeometry(xi=1.0, gamma=math.pi - d, omega0T=omega0T))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 2.0, 3.0, math.pi])
+    @pytest.mark.parametrize("xi", TestHugeFieldRatio.XIS + [1.7e308])
+    def test_huge_field_ratios(self, xi, gamma):
+        for omega0T in (0.0, 3.0 / xi, 1e10):
+            self.assert_same(MeasurementGeometry(xi=xi, gamma=gamma, eta=0.7, omega0T=omega0T))
+
+    def test_degenerate_and_overflowing_points_raise_alike(self):
+        degenerate = MeasurementGeometry(xi=1.0, gamma=math.pi, omega0T=10.0)
+        assert outcome(survival_split, degenerate) == (
+            f"DegenerateFieldError: total field vanishes at xi=1.0, gamma={math.pi!r}")
+        self.assert_same(degenerate)
+        self.assert_same(MeasurementGeometry(xi=3.0, gamma=1.0, omega0T=1.5e308))
+
+    @given(geometries)
+    def test_random_geometries(self, geom):
+        self.assert_same(geom)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import types
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -86,6 +87,52 @@ class TestMultiFieldConfig:
         segments = successive_schedule(config).segments
         assert len(segments) == 3
         assert all(seg.geom is f for seg, f in zip(segments, config.fields))
+
+
+class TestConfigFieldsWithoutRevalidation:
+    """A config rebuilds each field at its omega0T as MeasurementGeometry would, checking only omega0T."""
+
+    @given(fields=st.tuples(*[
+        st.builds(
+            MeasurementGeometry,
+            xi=st.floats(min_value=0.0, max_value=1e300),
+            gamma=st.floats(min_value=0.0, max_value=math.pi),
+            eta=st.floats(min_value=-1e3, max_value=1e3),
+            omega0T=st.floats(min_value=0.0, max_value=1e300),
+        )
+        for _ in range(3)
+    ]), omega0T=st.floats(min_value=0.0, max_value=1e300))
+    @example(
+        fields=(
+            MeasurementGeometry(0.1, math.pi / 2, -1e-300),  # stored with eta = 2 pi, rebuilt with 0
+            MeasurementGeometry(0.1, math.pi / 2, math.pi / 2),
+            MeasurementGeometry(0.1, 0.0, 0.0),
+        ),
+        omega0T=7.0,
+    )
+    def test_fields_equal_rebuilt_geometries(self, fields, omega0T):
+        config = MultiFieldConfig(fields=fields, omega0T=omega0T, relaxed=True)
+        rebuilt = tuple(MeasurementGeometry(f.xi, f.gamma, f.eta, omega0T) for f in fields)
+        assert all(type(f) is MeasurementGeometry for f in config.fields)
+        assert repr(config.fields) == repr(rebuilt)
+
+    def test_other_field_objects_are_validated_in_full(self):
+        valid = types.SimpleNamespace(xi=0.2, gamma=0.5 * math.pi, eta=-0.5 * math.pi)
+        axes = axes_config().fields
+        config = MultiFieldConfig(fields=(axes[0], valid, axes[2]), omega0T=10.0)
+        assert config.fields[1] == MeasurementGeometry(0.2, 0.5 * math.pi, -0.5 * math.pi, 10.0)
+        for xi in (-1.0, math.nan, math.inf):
+            bad = types.SimpleNamespace(xi=xi, gamma=0.5 * math.pi, eta=0.5 * math.pi)
+            with pytest.raises(ValueError) as geom_error:
+                MeasurementGeometry(bad.xi, bad.gamma, bad.eta, 10.0)
+            with pytest.raises(ValueError) as config_error:
+                MultiFieldConfig(fields=(axes[0], bad, axes[2]), omega0T=10.0)
+            assert str(config_error.value) == str(geom_error.value)
+            assert str(config_error.value).startswith("xi must be finite and >= 0")
+        # as before, such a field fails on its own entries before a bad omega0T
+        bad = types.SimpleNamespace(xi=0.1, gamma=math.nan, eta=0.0)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            MultiFieldConfig(fields=(bad,) + axes[1:], omega0T=math.nan)
 
 
 class TestFieldSpecFactory:

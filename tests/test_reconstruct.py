@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protspin import (
@@ -16,7 +16,8 @@ from protspin import (
     measurement_triple,
     reconstruct_state,
 )
-from helpers import forbid_numpy_vector_algebra
+from helpers import forbid_numpy_vector_algebra, reference_corrupted_reconstruction
+from protspin.reconstruct import _triple
 
 AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -198,6 +199,11 @@ class TestScalarGeometry:
         ((math.inf, 0.0, 0.0), "expectation values must lie in"),
         ((0.0, 0.0, 1.0 + 1e-8), "expectation values must lie in"),
         ((0.8, 0.8, 0.0), "expectation values imply"),
+        # past the first slot, where a max() over the values would miss a NaN
+        ((0.0, math.nan, 0.0), "expectation values must lie in"),
+        ((0.0, 0.0, math.nan), "expectation values must lie in"),
+        ((0.0, -math.inf, 0.0), "expectation values must lie in"),
+        ((0.0, 0.0, math.inf), "expectation values must lie in"),
     ])
     def test_rejects_values_outside_the_ball(self, values, message):
         with pytest.raises(ValueError, match=message):
@@ -206,6 +212,14 @@ class TestScalarGeometry:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-8])
     def test_rejects_non_orthonormal_or_non_finite_directions(self, bad):
         dirs = ((1.0, 0.0, 0.0), (0.0, 1.0, bad), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="directions must form an orthonormal triple"):
+            ExpectationTriple(directions=dirs, values=(0.1, 0.1, 0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row, col", [(r, c) for r in range(3) for c in range(3)])
+    def test_rejects_a_non_finite_direction_entry_anywhere(self, bad, row, col):
+        dirs = [list(d) for d in AXES]
+        dirs[row][col] = bad
         with pytest.raises(ValueError, match="directions must form an orthonormal triple"):
             ExpectationTriple(directions=dirs, values=(0.1, 0.1, 0.1))
 
@@ -265,3 +279,55 @@ class TestCorruptedReconstruction:
     def test_fidelity_agrees_with_direct_overlap(self):
         rho, f = corrupted_reconstruction(0.3, 1.1)
         assert abs(f - fidelity(rho, SpinState.plus())) < 1e-15
+
+
+class TestCorruptedReconstructionComposition:
+    """corrupted_reconstruction equals reconstruct_state(ExpectationTriple(...)) plus fidelity, bit for bit."""
+
+    @given(gamma=polar, eta=st.floats(min_value=-10.0, max_value=10.0))
+    @example(gamma=0.0, eta=0.0)
+    @example(gamma=math.pi, eta=0.0)
+    @example(gamma=1e-9, eta=0.0)
+    @example(gamma=math.pi - 1e-9, eta=-10.0)
+    @example(gamma=0.5 * math.pi, eta=10.0)
+    @settings(max_examples=400)
+    def test_equals_the_old_composition(self, gamma, eta):
+        assert repr(corrupted_reconstruction(gamma, eta)) == repr(reference_corrupted_reconstruction(gamma, eta))
+
+    @given(gamma=polar, eta=st.floats(min_value=-10.0, max_value=10.0))
+    @example(gamma=0.0, eta=0.0)
+    @example(gamma=math.pi, eta=0.0)
+    @example(gamma=1e-9, eta=0.0)
+    @settings(max_examples=400)
+    def test_triple_passes_the_expectation_checks(self, gamma, eta):
+        # corrupted_reconstruction builds no ExpectationTriple: its triple must
+        # pass the orthonormality and Bloch-ball checks it would have run
+        n1, n2, n3 = _triple(gamma, eta)
+        ExpectationTriple(directions=(n1, n2, n3), values=(n1[2], n2[2], -n3[2]))
+
+    @pytest.mark.parametrize("gamma", [-1e-9, math.pi + 1e-9, math.nan, math.inf])
+    def test_refuses_what_the_old_composition_refuses(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, pi\]"):
+            corrupted_reconstruction(gamma)
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, pi\]"):
+            reference_corrupted_reconstruction(gamma)
+
+
+class TestNonFiniteDensityMatrix:
+    """The validator refuses NaN and inf in any entry, not only where a test reads it first."""
+
+    @pytest.mark.parametrize("entry", ["rho00", "rho01", "rho10", "rho11"])
+    @pytest.mark.parametrize("bad", [
+        math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, complex(0.0, math.inf),
+    ])
+    def test_density_matrix_entries(self, entry, bad):
+        good = dict(rho00=0.75, rho01=0.25j, rho10=-0.25j, rho11=0.25)
+        DensityMatrix(**good)
+        with pytest.raises(ValueError):
+            DensityMatrix(**{**good, entry: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_density_matrix_from_bloch(self, bad):
+        for r in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError):
+                DensityMatrix.from_bloch(r)
