@@ -60,6 +60,11 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma!r}")
 
 
+def _check_eta(eta: float) -> None:
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
+
+
 def _check_omega0T(omega0T: float) -> None:
     if not (math.isfinite(omega0T) and omega0T >= 0.0):
         raise ValueError(f"omega0T must be finite and >= 0, got {omega0T!r}")
@@ -91,8 +96,7 @@ class MeasurementGeometry:
         if not (math.isfinite(self.xi) and self.xi >= 0.0):
             raise ValueError(f"xi must be finite and >= 0, got {self.xi!r}")
         _check_gamma(self.gamma)
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta!r}")
+        _check_eta(self.eta)
         _check_omega0T(self.omega0T)
         object.__setattr__(self, "eta", self.eta % TWO_PI)
 

@@ -115,6 +115,9 @@ class LabParameters:
         values = {}
         for name, key in _CONFIG_KEYS.items():
             try:
+                if isinstance(data[key], (bool, str)):
+                    # float() would read true as 1 and "10" as 10
+                    raise TypeError
                 values[name] = float(data[key])
             except (TypeError, ValueError):
                 raise ValueError(f"config field {key} must be a number, got {data[key]!r}") from None

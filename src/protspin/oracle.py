@@ -55,12 +55,12 @@ Some runs take place whatever the stop test says: propagate's first pair
 2**12 midpoint steps).  On a single-segment schedule with a driven profile
 each is one chunk on a uniform grid, so they are stepped together: one pass
 of the step kernel over their concatenated steps and one of the reduction.
-Each run keeps its own overflow check, series term count and normalization,
+Each run keeps its own overflow check, cos and sinc pass and normalization,
 and one of 1024 steps or more its own couplings table, so every result has
 the bits of the runs made one by one.
-The fixed numpy cost of one pass instead of two or three took a propagate
-that stops at 2**9 steps from about 105 to 85 us, and crosscheck's order
-runs from about 180 to 130 us, on a 2-CPU AMD EPYC machine.
+The fixed numpy cost of one pass instead of two or three takes a propagate
+that stops at 2**9 steps from about 225 to 175 us, and crosscheck's order
+runs from about 425 to 305 us, on a 2-CPU Intel Xeon machine.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _SERIES_MAX_P = 1.0 / 16.0
 _COS_SERIES = tuple((-1) ** k / math.factorial(2 * k) for k in range(7))
 _SERIES_REACH = tuple((math.factorial(2 * n) * 2.0 ** -64) ** (1.0 / n) for n in range(1, 8))
+# The cos and sinc coefficients of p**k as a (2, 1) column, which broadcasts
+# over the cos and sinc rows of an output.
+_SERIES_COLUMNS = np.array([_COS_SERIES, _SINC_SERIES[:7]]).T[:, :, np.newaxis]
 
 
 class ConvergenceError(RuntimeError):
@@ -228,65 +231,40 @@ def _per_step(values: list[float], sizes: list[int]):
     return values[0] if len(values) == 1 else np.repeat(values, sizes)
 
 
-def _cos_sinc_series(
-    p: np.ndarray, p_max: list[float], ends: list[int], out: np.ndarray, first: int = 0,
-) -> None:
-    """cos(x) and sin(x)/x at x = sqrt(p) into the rows of out, on parts first.. of p.
+def _cos_sinc_series(p: np.ndarray, p_max: float, out: np.ndarray) -> None:
+    """cos(x) and sin(x)/x at x = sqrt(p) into the two rows of out.
 
-    Part i of p runs up to ends[i], and its largest value p_max[i] is at most
-    _SERIES_MAX_P.  Both are Taylor series in p, summed by Horner's rule on
-    the two rows of out, a cos row and a sinc row, to the fewest terms whose
-    first omitted term at p_max[i] is below 2**-64.  p_max must not rise
-    along the parts, so at every level the parts whose sums have begun are
-    consecutive from part first on.
+    p_max, the largest value of p, is at most _SERIES_MAX_P.  Both are
+    Taylor series in p, summed by Horner's rule on both rows at once, to the
+    fewest terms whose first omitted term at p_max is below 2**-64.
     """
-    terms = [bisect.bisect_right(_SERIES_REACH, top) + 1 for top in p_max]
-    cos_row, sinc_row = out[0], out[1]
-    lo = begun = ends[first - 1] if first else 0
-    part = first
-    for k in range(terms[first] - 2, -1, -1):
-        # the parts of k + 2 terms begin, at their highest coefficient
-        while part < len(terms) and terms[part] == k + 2:
-            part += 1
-        if ends[part - 1] > begun:
-            head = slice(begun, ends[part - 1])
-            np.multiply(p[head], _COS_SERIES[k + 1], out=cos_row[head])
-            np.multiply(p[head], _SINC_SERIES[k + 1], out=sinc_row[head])
-            begun = head.stop
-            cos, sinc, q = cos_row[lo:begun], sinc_row[lo:begun], p[lo:begun]
-        cos += _COS_SERIES[k]
-        sinc += _SINC_SERIES[k]
+    terms = bisect.bisect_right(_SERIES_REACH, p_max) + 1
+    if terms == 1:
+        out.fill(1.0)
+        return
+    np.multiply(p, _SERIES_COLUMNS[terms - 1], out=out)
+    for k in range(terms - 2, -1, -1):
+        out += _SERIES_COLUMNS[k]
         if k:
-            cos *= q
-            sinc *= q
-    if begun < p.size:
-        # parts of one term
-        out[:, begun:] = 1.0
+            out *= p
 
 
 def _cos_sinc(p: np.ndarray, p_max: list[float], ends: list[int]) -> np.ndarray:
     """cos|c| and sin|c|/|c| at |c|^2 = p, as the rows of one (2, m) array.
 
-    Part i of p runs up to ends[i] and has largest value p_max[i].  A part
-    with p_max <= _SERIES_MAX_P takes the series, any other np.sqrt, np.sin
-    and np.cos.
+    Part i of p runs up to ends[i] and has largest value p_max[i].  Each part
+    is computed on its own: one with p_max <= _SERIES_MAX_P takes the series,
+    any other np.sqrt, np.sin and np.cos.
     """
-    if p_max != sorted(p_max, reverse=True):
-        # the series' shared levels need p_max not to rise along the parts
-        return np.concatenate([
-            _cos_sinc(p[lo:hi], [top], [hi - lo]) for lo, hi, top in zip([0, *ends], ends, p_max)
-        ], axis=1)
     row = np.empty((2, p.size))
-    # the parts that take sines and cosines, first as p_max does not rise
-    trig = sum(top > _SERIES_MAX_P for top in p_max)
-    if trig:
-        split = ends[trig - 1]
-        phi = np.sqrt(p[:split])
-        np.cos(phi, out=row[0, :split])
-        # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
-        np.divide(np.sin(phi), np.where(phi > 0.0, phi, 1.0), out=row[1, :split])
-    if trig < len(p_max):
-        _cos_sinc_series(p, p_max, ends, row, trig)
+    for lo, hi, top in zip([0, *ends], ends, p_max):
+        if top <= _SERIES_MAX_P:
+            _cos_sinc_series(p[lo:hi], top, row[:, lo:hi])
+        else:
+            phi = np.sqrt(p[lo:hi])
+            np.cos(phi, out=row[0, lo:hi])
+            # sin(phi)/phi; phi = 0 only where c = 0, so the guard leaves it exact
+            np.divide(np.sin(phi), np.where(phi > 0.0, phi, 1.0), out=row[1, lo:hi])
     return row
 
 

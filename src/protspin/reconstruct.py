@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_gamma, _unit_vector
+from .core import _check_eta, _check_gamma, _unit_vector
 from .oracle import SpinState
 
 ORTHONORMALITY_TOLERANCE = 1e-9
@@ -201,6 +201,7 @@ def corrupted_reconstruction(gamma: float, eta: float = 0.0) -> tuple[DensityMat
     state, whose fidelity against |+> is sin(gamma).
     """
     _check_gamma(gamma)
+    _check_eta(eta)
     n1, n2, n3 = _triple(gamma, eta)
     # _triple is orthonormal by construction, so no ExpectationTriple checks it
     r, _ = _clip_to_sphere(_bloch_sum((n1, n2, n3), (n1[2], n2[2], -n3[2])))

@@ -50,6 +50,9 @@ LAB = {
 FILES = {
     "triangle.txt": "# s  gT\n0 0\n\n0.5 2\n1 0\n",
     "trapezoid.txt": "0 0\n0.25 1.3333333333333333\n0.75 1.3333333333333333\n1 0\n",
+    # knot intervals 0.1, 0.05, 0.35 and 0.5 divide no power-of-two step
+    # count evenly, so the oracle steps on a knot-aligned grid
+    "uneven.txt": "0 0\n0.1 0.7547169811320755\n0.15 1.509433962264151\n0.5 1.509433962264151\n1 0\n",
     "unnormalized.txt": "0 1\n1 2\n",
     "descending.txt": "0 0\n0.6 2\n0.4 2\n1 0\n",
     "three_columns.txt": "0 0 0\n1 2 0\n",
@@ -104,6 +107,8 @@ CASES = [
     f"{_SWEEP_XI} --methods first-order,oracle --profile tabulated:triangle.txt",
     f"{_SWEEP_XI} --methods first-order,oracle --profile tabulated:trapezoid.txt --format json",
     f"{_SWEEP_XI} --methods oracle --profile tabulated:trapezoid.txt --steps 256",
+    f"{_SWEEP_XI} --methods first-order,oracle --profile tabulated:uneven.txt",
+    f"{_SWEEP_XI} --methods first-order,oracle --profile tabulated:uneven.txt --steps 256",
     "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --methods 'oracle, exact,taylor,,exact' "
     "--omega0T 5",
     "sweep --axis xi --min 0 --max 1 --count 3 --gamma 90 --methods ' all ' --omega0T 5",

@@ -352,6 +352,12 @@ class TestReconstruct:
         assert_one_line_error(code, out, err)
         assert "expectation values must lie in [-1, 1]" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_eta_is_rejected(self, capsys, value):
+        code, out, err = run(capsys, "reconstruct", "--gamma", "45", "--eta", value)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: eta must be finite, got {value}\n"
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(capsys, "reconstruct")
         assert code == 2

@@ -427,7 +427,7 @@ class TestKernel:
         ])
         for p in ps:
             out = np.empty((2, 1))
-            oracle._cos_sinc_series(np.array([p]), [p], [1], out)
+            oracle._cos_sinc_series(np.array([p]), p, out)
             cos, sinc = out
             x = math.sqrt(p)
             ref_cos = math.cos(x)

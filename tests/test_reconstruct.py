@@ -280,6 +280,11 @@ class TestCorruptedReconstruction:
         rho, f = corrupted_reconstruction(0.3, 1.1)
         assert abs(f - fidelity(rho, SpinState.plus())) < 1e-15
 
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_eta_is_rejected(self, eta):
+        with pytest.raises(ValueError, match=f"^eta must be finite, got {eta!r}$"):
+            corrupted_reconstruction(0.3, eta)
+
 
 class TestCorruptedReconstructionComposition:
     """corrupted_reconstruction equals reconstruct_state(ExpectationTriple(...)) plus fidelity, bit for bit."""
