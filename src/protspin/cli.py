@@ -272,7 +272,10 @@ def cmd_coupling(args) -> int:
         args.min, args.max, args.spacing = 0.0, 1.0, "linear"
         profiles = [make() for make in _PROFILE_NAMES.values()]
         header = ["t_over_T"] + [name.replace("-", "_") for name in _PROFILE_NAMES]
-        rows = [[s] + [float(coupling_eval(p, s)) for p in profiles] for s in _axis_grid(args)]
+        grid = _axis_grid(args)
+        # one array call per profile; coupling_eval has the same bits on an array as point by point
+        columns = [coupling_eval(p, np.array(grid)).tolist() for p in profiles]
+        rows = list(zip(grid, *columns))
         _emit_table(args, header, rows)
         return 0
 

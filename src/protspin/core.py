@@ -189,7 +189,11 @@ class CouplingProfile:
     outside the dataclass fields (so equality, hash and repr see the samples
     alone): the knot arrays, their _KnotPanels, and the trapezoid integrals
     of gT and |gT|.  Outside the fields too, phased_integral keeps its last
-    (omega0T, value), so a run of calls at one frequency integrates once.
+    (omega0T, value), so a run of calls at one frequency integrates once,
+    and every kind has _grid_memo, where the oracle keeps the couplings and
+    step widths of its small uniform passes (see oracle._steps).
+    constant(), raised_cosine() and optimized() each return one shared
+    instance, so every caller shares its memo.
     """
 
     kind: ProfileKind
@@ -225,18 +229,19 @@ class CouplingProfile:
             object.__setattr__(self, "_last_phased", (None, None))
         elif self.samples is not None:
             raise ValueError(f"samples are only meaningful for tabulated profiles, kind is {self.kind}")
+        object.__setattr__(self, "_grid_memo", {})
 
     @classmethod
     def constant(cls) -> "CouplingProfile":
-        return cls(ProfileKind.CONSTANT)
+        return _BUILT_IN[ProfileKind.CONSTANT]
 
     @classmethod
     def raised_cosine(cls) -> "CouplingProfile":
-        return cls(ProfileKind.RAISED_COSINE)
+        return _BUILT_IN[ProfileKind.RAISED_COSINE]
 
     @classmethod
     def optimized(cls) -> "CouplingProfile":
-        return cls(ProfileKind.OPTIMIZED)
+        return _BUILT_IN[ProfileKind.OPTIMIZED]
 
     @classmethod
     def tabulated(cls, samples) -> "CouplingProfile":
@@ -262,6 +267,12 @@ class CouplingProfile:
             words += parts
         numbers = iter(_parse_floats(path, lines, words))
         return cls.tabulated(_FloatPairs(zip(numbers, numbers)))
+
+
+_BUILT_IN = {
+    kind: CouplingProfile(kind)
+    for kind in (ProfileKind.CONSTANT, ProfileKind.RAISED_COSINE, ProfileKind.OPTIMIZED)
+}
 
 
 class _FloatPairs(tuple):

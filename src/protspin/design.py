@@ -119,7 +119,8 @@ class LabParameters:
                     # float() would read true as 1 and "10" as 10
                     raise TypeError
                 values[name] = float(data[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
+                # OverflowError: an int too large for a float
                 raise ValueError(f"config field {key} must be a number, got {data[key]!r}") from None
         values["gamma"] = math.radians(values["gamma"])
         return cls(**values)

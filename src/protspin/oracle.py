@@ -58,9 +58,19 @@ of the step kernel over their concatenated steps and one of the reduction.
 Each run keeps its own overflow check, cos and sinc pass and normalization,
 and one of 1024 steps or more its own couplings table, so every result has
 the bits of the runs made one by one.
-The fixed numpy cost of one pass instead of two or three takes a propagate
-that stops at 2**9 steps from about 225 to 175 us, and crosscheck's order
-runs from about 425 to 305 us, on a 2-CPU Intel Xeon machine.
+
+What such a pass of parts all below core._GRID_TABLE_MIN steps needs of the
+profile alone, its step widths and its couplings before the factor xi, is
+kept on the profile (CouplingProfile._grid_memo), filled on first use and
+keyed by the part sizes and the coupling offsets.  Only whole uniform grids
+of 2**k steps below _GRID_TABLE_MIN are kept, so the memo is bounded
+whatever the geometries: in adaptive use it holds propagate's first pair
+alone (crosscheck's order runs are longer).  A run that comes to one factor,
+as every run of such a pass does, is finished in scalar arithmetic.  A
+propagate that stops at 2**9 steps then takes about 135 us, against 185 us
+for the first call on a profile, which costs what it did before the memo;
+crosscheck's order runs take about 345 us (fastest of 15 timeit repeats on
+a 2-CPU Intel Xeon machine).
 """
 
 from __future__ import annotations
@@ -195,14 +205,18 @@ def _compose(
                 head_b = np.append(head_b, beta[-1])
             alpha, beta = head_a, head_b
         levels = (size - 1).bit_length()
-        a, b = complex(alpha[0]), complex(beta[0])
         # The form is closed under products, so the only drift from SU(2) is
         # in det U = |a|^2 + |b|^2.  Determinants multiply, so one rescale of
         # the root removes the drift of every level below it.
-        norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-        products.append((a / norm, b / norm))
+        products.append(_rescaled(complex(alpha[0]), complex(beta[0])))
         alpha, beta = alpha[1:], beta[1:]
     return products
+
+
+def _rescaled(a: complex, b: complex) -> tuple[complex, complex]:
+    """The Cayley-Klein pair (a, b) divided by sqrt(|a|^2 + |b|^2), so that det U = 1."""
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    return a / norm, b / norm
 
 
 def _step_edges(edges: np.ndarray, counts: np.ndarray, start: int, stop: int):
@@ -272,6 +286,63 @@ def _overflow(geom: MeasurementGeometry) -> ValueError:
     return ValueError(f"oracle step overflows at xi={geom.xi!r}, omega0T={geom.omega0T!r}")
 
 
+def _couplings(profile: CouplingProfile, parts: list[tuple], sizes: list[int], offsets: tuple) -> tuple:
+    """Step widths, and couplings gT before xi at left + offset width, of the steps of parts.
+
+    parts are as in _steps.  The widths are a float for a lone uniform part
+    and one per step otherwise; the couplings are one fresh array per offset.
+    """
+    (edges, counts), start, stop = parts[0]
+    if edges is not None:
+        # a knot-aligned grid, in a part of its own
+        left, width = _step_edges(edges, counts, start, stop)
+        shared, shared_width = 1, width
+    else:
+        widths = [1.0 / grid[1] for grid, _, _ in parts]
+        width = _per_step(widths, sizes)
+        # The first `shared` parts take their couplings from one evaluation
+        # at left + offset width: every part on a tabulated profile, and on a
+        # cosine shape those below _GRID_TABLE_MIN steps.  The longer ones
+        # (the rest, as parts ascend) each call coupling_grid, whose table
+        # split depends on the part's length.
+        if profile.kind is ProfileKind.TABULATED:
+            shared = len(parts)
+        elif profile.kind is ProfileKind.CONSTANT:
+            shared = 0
+        else:
+            shared = sum(size < _GRID_TABLE_MIN for size in sizes)
+        if shared:
+            left = _joined([np.arange(start, stop, dtype=float) for _, start, stop in parts[:shared]])
+            shared_width = _per_step(widths[:shared], sizes[:shared])
+            left *= shared_width
+    couplings = []
+    for offset in offsets:
+        pieces = [
+            coupling_grid(profile, grid[1], start, stop, offset) for grid, start, stop in parts[shared:]
+        ]
+        if shared:
+            s = left + offset * shared_width
+            pieces.insert(0, np.interp(s, *profile._knots) if profile.kind is ProfileKind.TABULATED
+                          else _cosine_shape(profile, s))
+        couplings.append(_joined(pieces))
+    return width, couplings
+
+
+def _memoized_couplings(
+    profile: CouplingProfile, parts: list[tuple], sizes: list[int], offsets: tuple,
+) -> tuple:
+    """_couplings, kept in profile._grid_memo under the part sizes and the offsets, as read-only arrays."""
+    key = (tuple(sizes), offsets)
+    entry = profile._grid_memo.get(key)
+    if entry is None:
+        width, couplings = _couplings(profile, parts, sizes, offsets)
+        for array in (width, *couplings):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        entry = profile._grid_memo[key] = (width, tuple(couplings))
+    return entry
+
+
 def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pairs of the steps of each part (grid, start, stop), concatenated.
 
@@ -296,11 +367,15 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
     calls no cosine per step on a part of core._GRID_TABLE_MIN steps or
     more; shorter parts share one cosine evaluation.  Tabulated profiles
     take np.interp on their knots, which is coupling_eval inside (0, 1),
-    where every sample lies.  If every step of a part has p = |c|^2 <= 1/16,
-    cos|c| and sin|c|/|c| are their Taylor series in p, cut where the first
-    omitted term at the part's largest p is below 2**-64 (at most 7 terms),
-    so no step needs a sine or cosine.  A part with a larger step takes
-    np.sqrt, np.sin and np.cos.
+    where every sample lies.  The passes _runs steps together below
+    _GRID_TABLE_MIN, whole uniform grids of 2**k steps, take their widths
+    and couplings before xi from the profile's memo (_memoized_couplings),
+    filled on first use; the product with xi then goes to a fresh array,
+    which has the bits of the product in place.  If every step of a part has
+    p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are their Taylor series in p,
+    cut where the first omitted term at the part's largest p is below
+    2**-64 (at most 7 terms), so no step needs a sine or cosine.  A part
+    with a larger step takes np.sqrt, np.sin and np.cos.
     """
     geom = seg.geom
     profile = seg.profile
@@ -311,43 +386,15 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
             return np.full(stop - start, alpha[0]), np.full(stop - start, beta[0])
     sizes = [stop - start for _, start, stop in parts]
     ends = list(itertools.accumulate(sizes))
+    one_point = order == 2 or profile.kind is ProfileKind.CONSTANT
+    offsets = (0.5,) if one_point else (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
     (edges, counts), start, stop = parts[0]
-    if edges is not None:
-        # a knot-aligned grid, in a part of its own
-        left, width = _step_edges(edges, counts, start, stop)
-        shared, shared_width = 1, width
-    else:
-        widths = [1.0 / grid[1] for grid, _, _ in parts]
-        width = _per_step(widths, sizes)
-        # The first `shared` parts take their couplings from one evaluation
-        # at left + offset width: every part on a tabulated profile, and on a
-        # cosine shape those below _GRID_TABLE_MIN steps.  The longer ones
-        # (the rest, as parts ascend) each call coupling_grid, whose table
-        # split depends on the part's length.
-        if profile.kind is ProfileKind.TABULATED:
-            shared = len(parts)
-        elif profile.kind is ProfileKind.CONSTANT:
-            shared = 0
-        else:
-            shared = sum(size < _GRID_TABLE_MIN for size in sizes)
-        if shared:
-            left = _joined([np.arange(start, stop, dtype=float) for _, start, stop in parts[:shared]])
-            shared_width = _per_step(widths[:shared], sizes[:shared])
-            left *= shared_width
+    last = sizes[-1]
+    memoized = (
+        edges is None and stop - start == counts and last < _GRID_TABLE_MIN and last & (last - 1) == 0
+        and profile.kind is not ProfileKind.CONSTANT
+    )
 
-    def coupling(offset):
-        pieces = [
-            coupling_grid(profile, grid[1], start, stop, offset) for grid, start, stop in parts[shared:]
-        ]
-        if shared:
-            s = left + offset * shared_width
-            pieces.insert(0, np.interp(s, *profile._knots) if profile.kind is ProfileKind.TABULATED
-                          else _cosine_shape(profile, s))
-        g = _joined(pieces)
-        g *= geom.xi
-        return g
-
-    half = 0.5 * geom.omega0T * width
     sin_g = math.sin(geom.gamma)
     nx = sin_g * math.cos(geom.eta)
     ny = sin_g * math.sin(geom.eta)
@@ -356,13 +403,20 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
     # At a huge xi the exponents overflow; a part's p_max is then inf or
     # NaN, and the step is refused instead of propagating NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        if order == 2 or profile.kind is ProfileKind.CONSTANT:
-            g = coupling(0.5)
+        if memoized:
+            width, couplings = _memoized_couplings(profile, parts, sizes, offsets)
+            couplings = [g * geom.xi for g in couplings]
+        else:
+            width, couplings = _couplings(profile, parts, sizes, offsets)
+            for g in couplings:
+                g *= geom.xi
+        half = 0.5 * geom.omega0T * width
+        if one_point:
+            [g] = couplings
             cx = (half * nx) * g
             cy = (half * ny) * g
         else:
-            g1 = coupling(0.5 - _GAUSS_OFFSET)
-            g2 = coupling(0.5 + _GAUSS_OFFSET)
+            g1, g2 = couplings
             g = 0.5 * (g1 + g2)
             w = (_GAUSS_OFFSET * half * half) * (g2 - g1)
             cx = (half * nx) * g - ny * w
@@ -449,6 +503,10 @@ def _runs(
     a uniform grid of a power-of-two step count of at most _CHUNK are one
     chunk each.  They go through one _steps and one _compose pass as parts
     in ascending length, which gives each the bits of its own pass.
+
+    A run of one factor, as every such run is, is finished in scalar
+    arithmetic: _compose of a lone factor only rescales it once more, and
+    Python complex arithmetic has the bits of numpy's on complex128 scalars.
     """
     factors = [[] for _ in grid_lists]
     seg = schedule.segments[0]
@@ -473,10 +531,14 @@ def _runs(
                 run_factors += _compose(*_steps(seg, [(grid, 0, _CHUNK)], order)) * full
             for start in range(full * _CHUNK, total, _CHUNK):
                 run_factors += _compose(*_steps(seg, [(grid, start, min(start + _CHUNK, total))], order))
+    p0, p1 = complex(psi[0]), complex(psi[1])
     finals = []
     for run_factors in factors:
-        [(a, b)] = _compose(*(np.array(column) for column in zip(*run_factors)))
-        finals.append(np.array([a * psi[0] + b * psi[1], -b.conjugate() * psi[0] + a.conjugate() * psi[1]]))
+        if len(run_factors) == 1:
+            a, b = _rescaled(*run_factors[0])
+        else:
+            [(a, b)] = _compose(*(np.array(column) for column in zip(*run_factors)))
+        finals.append(np.array([a * p0 + b * p1, -b.conjugate() * p0 + a.conjugate() * p1]))
     return finals
 
 
@@ -505,8 +567,7 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState) -> SpinState:
         step_a = complex(math.cos(phi), cz * t)
         step_b = complex(cy * t, cx * t)
         a, b = step_a * a - step_b * b.conjugate(), step_a * b + step_b * a.conjugate()
-    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    a, b = a / norm, b / norm
+    a, b = _rescaled(a, b)
     return SpinState(
         a * psi0.c_plus + b * psi0.c_minus, -b.conjugate() * psi0.c_plus + a.conjugate() * psi0.c_minus,
     )

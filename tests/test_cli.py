@@ -462,6 +462,21 @@ class TestDesign:
         assert_one_line_error(code, out, err)
         assert err == f"error: config must be a JSON object, got {kind}\n"
 
+    def test_config_number_past_the_float_range_is_one_line(self, capsys, tmp_path):
+        # json reads 1 followed by 400 zeros as an int, which float() refuses with OverflowError
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps({
+            "species": "potassium",
+            "b0_tesla": 12345.0,
+            "grad_b1_tesla_per_meter": 20.0,
+            "d_meter": 0.1,
+            "t_oven_kelvin": 500.0,
+            "gamma_deg": 45.0,
+        }).replace("12345.0", "1" + "0" * 400))
+        code, out, err = run(capsys, "design", "--config", str(path))
+        assert_one_line_error(code, out, err)
+        assert err.startswith("error: config field b0_tesla must be a number, got 1000")
+
     def test_config_missing_field_is_named(self, capsys, tmp_path):
         path = tmp_path / "lab.json"
         path.write_text(json.dumps({"species": "potassium", "b0_tesla": 10.0}))

@@ -66,7 +66,7 @@ class TestLabParameters:
                 }
             )
 
-    @pytest.mark.parametrize("value", [None, [10.0], {"value": 10.0}, "ten", True, False, "10"])
+    @pytest.mark.parametrize("value", [None, [10.0], {"value": 10.0}, "ten", True, False, "10", 10**400])
     def test_from_config_names_a_non_numeric_field(self, value):
         config = {
             "species": "potassium",

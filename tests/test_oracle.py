@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from protspin import (
     successive_schedule,
     survival_split,
 )
-from protspin.core import coupling_grid
+from protspin.core import _GRID_TABLE_MIN, coupling_grid
 from helpers import (
     propagate_midpoint, random_geometries, reference_adaptive, reference_run, reference_runs,
     richardson_minus,
@@ -553,8 +557,12 @@ class TestKernelBits:
     @pytest.mark.parametrize("profile", BIT_PROFILES, ids=profile_id)
     def test_single_segment(self, profile, omega0T, order):
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
+        sched = HamiltonianSchedule.single(geom, profile)
         steps = BIT_STEPS + LONG_STEPS if profile.kind is ProfileKind.CONSTANT else BIT_STEPS
-        self.assert_same_bits(HamiltonianSchedule.single(geom, profile), order, steps)
+        profile._grid_memo.clear()
+        self.assert_same_bits(sched, order, steps)
+        # again with the memo warm, on the counts whose passes it holds
+        self.assert_same_bits(sched, order, [n for n in steps if n < _GRID_TABLE_MIN])
 
     @staticmethod
     def constant_and_driven_legs():
@@ -657,12 +665,14 @@ class TestRunsTogether:
         geom = MeasurementGeometry(xi=0.6, gamma=1.1, eta=0.4, omega0T=omega0T)
         sched = HamiltonianSchedule.single(geom, profile)
         psi = MIXED_STATE.as_array()
+        profile._grid_memo.clear()
         for counts in BATCHES:
             # given finest first, so the pass has to sort them
             grid_lists = [oracle._grids(sched, n) for n in reversed(counts)]
-            out = oracle._runs(sched, psi, grid_lists, order)
             ref = reference_runs(sched, psi, grid_lists, order)
-            assert [same_bits(x, y) for x, y in zip(out, ref)] == [True] * len(counts), counts
+            for memo in ("cold", "warm"):
+                out = oracle._runs(sched, psi, grid_lists, order)
+                assert [same_bits(x, y) for x, y in zip(out, ref)] == [True] * len(counts), (counts, memo)
 
     def test_series_parts_match_their_own_passes(self):
         rng = np.random.default_rng(26)
@@ -702,6 +712,7 @@ class TestRunsTogether:
         # Magnus propagate stops at 2**9, 2**10 and 2**11 steps on these
         geoms = random_geometries(np.random.default_rng(26), 8, xi_max=0.5, omega_max=60.0)
         stops = set()
+        profile._grid_memo.clear()  # cold on the first geometry, warm on the rest
         for geom in geoms:
             sched = HamiltonianSchedule.single(geom, profile)
             for psi0 in (SpinState.plus(), MIXED_STATE):
@@ -715,6 +726,110 @@ class TestRunsTogether:
         monkeypatch.setattr(oracle, "_runs", reference_runs)
         for geom, report in zip(geoms, reports):
             assert repr(report) == repr(crosscheck(geom, profile)), geom
+
+
+MEMO_PROFILES = [*KERNEL_PROFILES[:2], EVEN_TABULATED]
+
+
+def first_pair(sched):
+    """The grid lists of propagate's first pair, which _runs steps in one pass."""
+    grids = oracle._grids(sched, oracle.START_STEPS[4])
+    return [grids, oracle._refine(grids)]
+
+
+class TestGridMemo:
+    """A profile keeps the couplings and widths of the small passes _runs steps together."""
+
+    @pytest.mark.parametrize("profile", MEMO_PROFILES, ids=profile_id)
+    def test_warm_first_pass_evaluates_no_coupling(self, monkeypatch, profile):
+        calls = {"_cosine_shape": 0, "interp": 0}
+
+        def count(key, func):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(oracle, "_cosine_shape", count("_cosine_shape", oracle._cosine_shape))
+        monkeypatch.setattr(np, "interp", count("interp", np.interp))
+        geom = MeasurementGeometry(xi=0.01, gamma=1.0, eta=0.3, omega0T=5.0)
+        sched = HamiltonianSchedule.single(geom, profile)
+        psi = SpinState.plus().as_array()
+        profile._grid_memo.clear()
+        oracle._runs(sched, psi, first_pair(sched), 4)
+        assert sum(calls.values()) == 2  # cold: one evaluation at each Gauss point
+        calls.update(dict.fromkeys(calls, 0))
+        oracle._runs(sched, psi, first_pair(sched), 4)
+        assert calls == {"_cosine_shape": 0, "interp": 0}
+
+    def test_holds_read_only_arrays(self):
+        profile = CouplingProfile.optimized()
+        profile._grid_memo.clear()
+        geom = MeasurementGeometry(xi=0.1, gamma=1.0, eta=0.3, omega0T=5.0)
+        propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+        [(width, couplings)] = profile._grid_memo.values()
+        # the per-step widths and the couplings at the two Gauss points of the first pair
+        arrays = [width, *couplings]
+        assert [array.size for array in arrays] == [2**8 + 2**9] * 3
+        assert not any(array.flags.writeable for array in arrays)
+
+    @pytest.mark.parametrize("profile", MEMO_PROFILES, ids=profile_id)
+    def test_key_set_is_fixed_by_the_first_call(self, profile):
+        geoms = random_geometries(np.random.default_rng(30), 51, xi_max=0.5, omega_max=60.0)
+        profile._grid_memo.clear()
+        propagate(HamiltonianSchedule.single(geoms[0], profile), SpinState.plus())
+        keys = set(profile._grid_memo)
+        assert keys
+        for geom in geoms[1:]:
+            propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+        assert set(profile._grid_memo) == keys
+
+    def test_constant_and_knot_aligned_profiles_keep_nothing(self):
+        geom = MeasurementGeometry(xi=0.3, gamma=1.0, eta=0.3, omega0T=5.0)
+        for profile in (CouplingProfile.constant(), UNEVEN_TABULATED):
+            profile._grid_memo.clear()
+            propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+            propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus(), steps=256)
+            assert profile._grid_memo == {}
+
+    def test_import_memoizes_nothing(self):
+        code = (
+            "import protspin as ps\n"
+            "shared = [ps.CouplingProfile.constant(), ps.CouplingProfile.raised_cosine(),"
+            " ps.CouplingProfile.optimized()]\n"
+            "assert [p._grid_memo for p in shared] == [{}, {}, {}]\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestSharedProfiles:
+    FACTORIES = {
+        ProfileKind.CONSTANT: CouplingProfile.constant,
+        ProfileKind.RAISED_COSINE: CouplingProfile.raised_cosine,
+        ProfileKind.OPTIMIZED: CouplingProfile.optimized,
+    }
+
+    @pytest.mark.parametrize("kind", list(FACTORIES), ids=lambda kind: kind.value)
+    def test_one_instance_per_kind(self, kind):
+        make = self.FACTORIES[kind]
+        assert make() is make()
+        direct = CouplingProfile(kind)
+        assert direct is not make()
+        assert direct == make() and hash(direct) == hash(make())
+        assert repr(make()) == f"CouplingProfile(kind={kind!r}, samples=None)" == repr(direct)
+
+    def test_direct_instance_keeps_its_own_memo(self):
+        shared = CouplingProfile.optimized()
+        direct = CouplingProfile(ProfileKind.OPTIMIZED)
+        assert direct._grid_memo == {} and direct._grid_memo is not shared._grid_memo
+        for geom in random_geometries(np.random.default_rng(31), 6, xi_max=0.5, omega_max=60.0):
+            for psi0 in (SpinState.plus(), MIXED_STATE):
+                assert repr(propagate(HamiltonianSchedule.single(geom, direct), psi0)) == repr(
+                    propagate(HamiltonianSchedule.single(geom, shared), psi0)
+                ), geom
+        assert set(direct._grid_memo) == set(shared._grid_memo)
 
 
 class TestStaticFastPath:
