@@ -191,9 +191,7 @@ class CouplingProfile:
     of gT and |gT|.  Outside the fields too, phased_integral keeps its last
     (omega0T, value), so a run of calls at one frequency integrates once,
     and every kind has _grid_memo, where the oracle keeps the couplings and
-    step widths of its small uniform passes (see oracle._steps).
-    constant(), raised_cosine() and optimized() each return one shared
-    instance, so every caller shares its memo.
+    step widths of its small batched passes (see oracle._runs).
     """
 
     kind: ProfileKind
@@ -233,15 +231,15 @@ class CouplingProfile:
 
     @classmethod
     def constant(cls) -> "CouplingProfile":
-        return _BUILT_IN[ProfileKind.CONSTANT]
+        return cls(ProfileKind.CONSTANT)
 
     @classmethod
     def raised_cosine(cls) -> "CouplingProfile":
-        return _BUILT_IN[ProfileKind.RAISED_COSINE]
+        return cls(ProfileKind.RAISED_COSINE)
 
     @classmethod
     def optimized(cls) -> "CouplingProfile":
-        return _BUILT_IN[ProfileKind.OPTIMIZED]
+        return cls(ProfileKind.OPTIMIZED)
 
     @classmethod
     def tabulated(cls, samples) -> "CouplingProfile":
@@ -267,12 +265,6 @@ class CouplingProfile:
             words += parts
         numbers = iter(_parse_floats(path, lines, words))
         return cls.tabulated(_FloatPairs(zip(numbers, numbers)))
-
-
-_BUILT_IN = {
-    kind: CouplingProfile(kind)
-    for kind in (ProfileKind.CONSTANT, ProfileKind.RAISED_COSINE, ProfileKind.OPTIMIZED)
-}
 
 
 class _FloatPairs(tuple):

@@ -62,15 +62,16 @@ the bits of the runs made one by one.
 What such a pass of parts all below core._GRID_TABLE_MIN steps needs of the
 profile alone, its step widths and its couplings before the factor xi, is
 kept on the profile (CouplingProfile._grid_memo), filled on first use and
-keyed by the part sizes and the coupling offsets.  Only whole uniform grids
-of 2**k steps below _GRID_TABLE_MIN are kept, so the memo is bounded
-whatever the geometries: in adaptive use it holds propagate's first pair
-alone (crosscheck's order runs are longer).  A run that comes to one factor,
-as every run of such a pass does, is finished in scalar arithmetic.  A
-propagate that stops at 2**9 steps then takes about 135 us, against 185 us
-for the first call on a profile, which costs what it did before the memo;
-crosscheck's order runs take about 345 us (fastest of 15 timeit repeats on
-a 2-CPU Intel Xeon machine).
+keyed by the part sizes and the coupling offsets.  Only such passes are
+kept, so the memo is bounded whatever the geometries: in adaptive use it
+holds propagate's first pair alone (crosscheck's order runs are longer),
+and otherwise a fixed steps of 2**k below _GRID_TABLE_MIN on a
+single-segment schedule; a multi-segment schedule keeps nothing.  A run
+that comes to one factor, as every run of such a pass does, is finished in
+scalar arithmetic.  A propagate that stops at 2**9 steps then takes about
+120 us, against 160-170 us for the first call on a profile instance, which
+costs what it did before the memo; crosscheck's order runs take about
+330 us (fastest of 15 timeit repeats on a 2-CPU Intel Xeon machine).
 """
 
 from __future__ import annotations
@@ -343,7 +344,9 @@ def _memoized_couplings(
     return entry
 
 
-def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np.ndarray]:
+def _steps(
+    seg: Segment, parts: list[tuple], order: int, memoized: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pairs of the steps of each part (grid, start, stop), concatenated.
 
     Part (grid, start, stop) is steps start..stop-1 of a grid of the
@@ -367,11 +370,10 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
     calls no cosine per step on a part of core._GRID_TABLE_MIN steps or
     more; shorter parts share one cosine evaluation.  Tabulated profiles
     take np.interp on their knots, which is coupling_eval inside (0, 1),
-    where every sample lies.  The passes _runs steps together below
-    _GRID_TABLE_MIN, whole uniform grids of 2**k steps, take their widths
-    and couplings before xi from the profile's memo (_memoized_couplings),
-    filled on first use; the product with xi then goes to a fresh array,
-    which has the bits of the product in place.  If every step of a part has
+    where every sample lies.  If memoized, the widths and the couplings
+    before xi come from the profile's memo (_memoized_couplings), filled on
+    first use; the product with xi then goes to a fresh array, which has the
+    bits of the product in place.  If every step of a part has
     p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are their Taylor series in p,
     cut where the first omitted term at the part's largest p is below
     2**-64 (at most 7 terms), so no step needs a sine or cosine.  A part
@@ -388,12 +390,6 @@ def _steps(seg: Segment, parts: list[tuple], order: int) -> tuple[np.ndarray, np
     ends = list(itertools.accumulate(sizes))
     one_point = order == 2 or profile.kind is ProfileKind.CONSTANT
     offsets = (0.5,) if one_point else (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
-    (edges, counts), start, stop = parts[0]
-    last = sizes[-1]
-    memoized = (
-        edges is None and stop - start == counts and last < _GRID_TABLE_MIN and last & (last - 1) == 0
-        and profile.kind is not ProfileKind.CONSTANT
-    )
 
     sin_g = math.sin(geom.gamma)
     nx = sin_g * math.cos(geom.eta)
@@ -502,7 +498,11 @@ def _runs(
     On a single-segment schedule whose profile is not constant, the runs on
     a uniform grid of a power-of-two step count of at most _CHUNK are one
     chunk each.  They go through one _steps and one _compose pass as parts
-    in ascending length, which gives each the bits of its own pass.
+    in ascending length, which gives each the bits of its own pass.  If
+    every part is below _GRID_TABLE_MIN steps, the pass takes its widths and
+    couplings from the profile's memo (see _steps): in adaptive use that is
+    propagate's first pair alone, and otherwise a fixed steps of 2**k below
+    _GRID_TABLE_MIN.  Those are the only keys, so the memo stays bounded.
 
     A run of one factor, as every such run is, is finished in scalar
     arithmetic: _compose of a lone factor only rescales it once more, and
@@ -517,7 +517,8 @@ def _runs(
         )
         if batch:
             parts = [((None, n), 0, n) for n, _ in batch]
-            pairs = _compose(*_steps(seg, parts, order), [n for n, _ in batch])
+            memoized = batch[-1][0] < _GRID_TABLE_MIN
+            pairs = _compose(*_steps(seg, parts, order, memoized), [n for n, _ in batch])
             for (_, i), pair in zip(batch, pairs):
                 factors[i].append(pair)
     for grids, run_factors in zip(grid_lists, factors):
@@ -567,7 +568,8 @@ def _run_static(schedule: HamiltonianSchedule, psi0: SpinState) -> SpinState:
         step_a = complex(math.cos(phi), cz * t)
         step_b = complex(cy * t, cx * t)
         a, b = step_a * a - step_b * b.conjugate(), step_a * b + step_b * a.conjugate()
-    a, b = _rescaled(a, b)
+    norm = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    a, b = a / norm, b / norm
     return SpinState(
         a * psi0.c_plus + b * psi0.c_minus, -b.conjugate() * psi0.c_plus + a.conjugate() * psi0.c_minus,
     )

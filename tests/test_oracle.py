@@ -693,19 +693,20 @@ class TestRunsTogether:
         passes = []
         steps = oracle._steps
 
-        def spy(seg, parts, order):
-            passes.append([stop - start for _, start, stop in parts])
-            return steps(seg, parts, order)
+        def spy(seg, parts, order, memoized=False):
+            passes.append(([stop - start for _, start, stop in parts], memoized))
+            return steps(seg, parts, order, memoized)
 
         monkeypatch.setattr(oracle, "_steps", spy)
         geom = MeasurementGeometry(xi=0.05, gamma=1.0, eta=0.2, omega0T=3.0)
         profile = CouplingProfile.raised_cosine()
         propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
-        assert passes == [[2**8, 2**9]]
+        # the first pair is the one pass the profile's memo holds
+        assert passes == [([2**8, 2**9], True)]
         passes.clear()
         crosscheck(geom, profile)
         # the adaptive midpoint runs start at a whole chunk of 2**14 steps
-        assert [part for part in passes if sum(part) < 2**14] == [[2**10, 2**11, 2**12]]
+        assert [part for part in passes if sum(part[0]) < 2**14] == [([2**10, 2**11, 2**12], False)]
 
     @pytest.mark.parametrize("profile", ADAPTIVE_PROFILES, ids=profile_id)
     def test_adaptive_driver_keeps_its_bits(self, monkeypatch, profile):
@@ -792,44 +793,47 @@ class TestGridMemo:
             propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus(), steps=256)
             assert profile._grid_memo == {}
 
+    @pytest.mark.parametrize("profile", MEMO_PROFILES, ids=profile_id)
+    def test_multi_segment_schedule_keeps_nothing(self, profile):
+        # two equal budgets give each segment 2**k steps below _GRID_TABLE_MIN
+        # (128 and 256 of the first pair); segments are never stepped together
+        profile._grid_memo.clear()
+        geoms = random_geometries(np.random.default_rng(31), 8, xi_max=0.5, omega_max=60.0)
+        for first, second in zip(geoms[::2], geoms[1::2]):
+            second = MeasurementGeometry(xi=second.xi, gamma=second.gamma, eta=second.eta, omega0T=first.omega0T)
+            sched = HamiltonianSchedule((Segment(first, profile), Segment(second, profile)))
+            propagate(sched, SpinState.plus())
+            propagate(sched, SpinState.plus(), steps=512)
+        assert profile._grid_memo == {}
+
+    @pytest.mark.parametrize("profile", MEMO_PROFILES, ids=profile_id)
+    def test_fixed_steps_keep_one_key_per_power_of_two_below_the_table(self, profile):
+        profile._grid_memo.clear()
+        for steps in (256, 300, 512, 1024, 256):
+            geom = MeasurementGeometry(xi=0.2, gamma=1.0, eta=0.3, omega0T=float(steps) / 50.0)
+            propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus(), steps=steps)
+        offsets = (0.5 - oracle._GAUSS_OFFSET, 0.5 + oracle._GAUSS_OFFSET)
+        assert set(profile._grid_memo) == {((256,), offsets), ((512,), offsets)}
+
     def test_import_memoizes_nothing(self):
         code = (
+            "import gc\n"
             "import protspin as ps\n"
-            "shared = [ps.CouplingProfile.constant(), ps.CouplingProfile.raised_cosine(),"
-            " ps.CouplingProfile.optimized()]\n"
-            "assert [p._grid_memo for p in shared] == [{}, {}, {}]\n"
+            "profiles = [p for p in gc.get_objects() if isinstance(p, ps.CouplingProfile)]\n"
+            "assert all(p._grid_memo == {} for p in profiles), profiles\n"
         )
         src = str(Path(oracle.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
-
-class TestSharedProfiles:
-    FACTORIES = {
-        ProfileKind.CONSTANT: CouplingProfile.constant,
-        ProfileKind.RAISED_COSINE: CouplingProfile.raised_cosine,
-        ProfileKind.OPTIMIZED: CouplingProfile.optimized,
-    }
-
-    @pytest.mark.parametrize("kind", list(FACTORIES), ids=lambda kind: kind.value)
-    def test_one_instance_per_kind(self, kind):
-        make = self.FACTORIES[kind]
-        assert make() is make()
-        direct = CouplingProfile(kind)
-        assert direct is not make()
-        assert direct == make() and hash(direct) == hash(make())
-        assert repr(make()) == f"CouplingProfile(kind={kind!r}, samples=None)" == repr(direct)
-
-    def test_direct_instance_keeps_its_own_memo(self):
-        shared = CouplingProfile.optimized()
-        direct = CouplingProfile(ProfileKind.OPTIMIZED)
-        assert direct._grid_memo == {} and direct._grid_memo is not shared._grid_memo
-        for geom in random_geometries(np.random.default_rng(31), 6, xi_max=0.5, omega_max=60.0):
-            for psi0 in (SpinState.plus(), MIXED_STATE):
-                assert repr(propagate(HamiltonianSchedule.single(geom, direct), psi0)) == repr(
-                    propagate(HamiltonianSchedule.single(geom, shared), psi0)
-                ), geom
-        assert set(direct._grid_memo) == set(shared._grid_memo)
+    def test_factories_build_a_new_instance_with_its_own_memo(self):
+        profile = CouplingProfile.optimized()
+        geom = MeasurementGeometry(xi=0.1, gamma=1.0, eta=0.3, omega0T=5.0)
+        propagate(HamiltonianSchedule.single(geom, profile), SpinState.plus())
+        fresh = CouplingProfile.optimized()
+        assert fresh is not profile and fresh == profile and hash(fresh) == hash(profile)
+        assert repr(fresh) == repr(profile) == f"CouplingProfile(kind={ProfileKind.OPTIMIZED!r}, samples=None)"
+        assert profile._grid_memo and fresh._grid_memo == {}
 
 
 class TestStaticFastPath:
