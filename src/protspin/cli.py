@@ -24,10 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .compare import verify
 from .core import (
     CouplingProfile,
+    HamiltonianSchedule,
     MeasurementGeometry,
     ProfileKind,
+    SpinState,
     coupling_eval,
 )
 from .design import LabParameters, derive_report, required_gradient, xi_budget
@@ -47,7 +50,7 @@ from .multimeas import (
     successive_schedule,
     term_magnitudes,
 )
-from .oracle import ConvergenceError, HamiltonianSchedule, SpinState, closed_form_deviation, propagate
+from .oracle import ConvergenceError, propagate
 from .reconstruct import (
     ExpectationTriple,
     corrupted_reconstruction,
@@ -415,72 +418,10 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _check(name: str, cases: int, deviation: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "cases": cases,
-        "max_deviation": deviation,
-        "tolerance": tolerance,
-        "passed": bool(deviation < tolerance),
-    }
-
-
-def _verify_checks(rng: np.random.Generator, cases: int, exact_tol: float, fo_tol: float):
-    exact_worst = 0.0
-    for _ in range(cases):
-        geom = MeasurementGeometry(
-            xi=float(rng.uniform(0.0, 2.0)),
-            gamma=float(rng.uniform(0.0, math.pi)),
-            eta=float(rng.uniform(0.0, 2.0 * math.pi)),
-            omega0T=float(np.exp(rng.uniform(math.log(0.1), math.log(1000.0)))),
-        )
-        schedule = HamiltonianSchedule.single(geom, CouplingProfile.constant())
-        state = propagate(schedule, SpinState.plus())
-        exact_worst = max(exact_worst, closed_form_deviation(geom, state))
-
-    first_order_worst = 0.0
-    for profile in _PROFILE_NAMES.values():
-        # gamma = pi/2 suppresses the quadratic correction term
-        geom = MeasurementGeometry(xi=1e-3, gamma=0.5 * math.pi, eta=0.4, omega0T=5.0)
-        state = propagate(HamiltonianSchedule.single(geom, profile()), SpinState.plus())
-        fo = first_order_amplitude(profile(), geom).amplitude
-        first_order_worst = max(first_order_worst, abs(state.c_minus - fo) / abs(fo))
-
-    config = MultiFieldConfig.axes(0.01, 0.008, 0.006, omega0T=10.0 * math.pi)
-    dev = abs(simultaneous_amplitude(config) - successive_amplitude(config))
-
-    geom = MeasurementGeometry(xi=0.3, gamma=1.0, eta=0.7, omega0T=50.0)
-    state = propagate(
-        HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine()),
-        SpinState.plus(),
-        steps=2 ** 14,
-    )
-    return [
-        _check("exact-vs-oracle", cases, exact_worst, exact_tol),
-        _check("first-order-small-xi", len(_PROFILE_NAMES), first_order_worst, fo_tol),
-        _check("successive-equals-simultaneous-at-2pi-multiple", 1, dev, 1e-12),
-        _check("unitarity", 1, abs(state.norm() - 1.0), 1e-12),
-    ]
-
-
 def cmd_verify(args) -> int:
-    if args.cases < 1:
-        raise ValueError(f"cases must be >= 1, got {args.cases}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
-    for flag, tol in (("exact-tol", args.exact_tol), ("first-order-tol", args.first_order_tol)):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"{flag} must be finite and > 0, got {tol}")
-    rng = np.random.default_rng(args.seed)
-    checks = _verify_checks(rng, args.cases, args.exact_tol, args.first_order_tol)
-    all_passed = all(c["passed"] for c in checks)
-    record = {
-        "seed": args.seed,
-        "checks": checks,
-        "all_passed": all_passed,
-    }
+    record = verify(args.seed, args.cases, args.exact_tol, args.first_order_tol)
     _emit_record(args, record)
-    return 0 if all_passed else 1
+    return 0 if record["all_passed"] else 1
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Dimensionless geometry and coupling profiles for protective spin measurement.
+"""Dimensionless geometry, coupling profiles, schedules and spin states for protective spin measurement.
 
 A spin-1/2 particle sits in a strong uniform protection field along z while a
 weak inhomogeneous measurement field along the direction
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -289,6 +289,57 @@ def _parse_floats(path, lines: list[str], words: list[str]) -> list[float]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         raise
+
+
+@dataclass(frozen=True)
+class SpinState:
+    """Spin amplitudes in the protection-field eigenbasis (c_plus, c_minus)."""
+
+    c_plus: complex
+    c_minus: complex
+
+    @classmethod
+    def plus(cls) -> "SpinState":
+        return cls(1.0 + 0.0j, 0.0 + 0.0j)
+
+    @classmethod
+    def minus(cls) -> "SpinState":
+        return cls(0.0 + 0.0j, 1.0 + 0.0j)
+
+    def norm(self) -> float:
+        return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.c_plus, self.c_minus], dtype=complex)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One leg of a schedule: its field, with its own omega0T, and its coupling profile."""
+
+    geom: MeasurementGeometry
+    profile: CouplingProfile
+
+
+@dataclass(frozen=True)
+class HamiltonianSchedule:
+    """Ordered measurement segments covering the full evolution window.
+
+    Each segment's geom.omega0T is the dimensionless budget of that segment
+    alone.  The protection field, hence omega0, is common to all segments,
+    so a segment's share of the window is its share of the summed omega0T.
+    """
+
+    segments: tuple[Segment, ...]
+
+    def __post_init__(self):
+        if not self.segments:
+            raise ValueError("schedule needs at least one segment")
+        object.__setattr__(self, "segments", tuple(self.segments))
+
+    @classmethod
+    def single(cls, geom: MeasurementGeometry, profile: CouplingProfile) -> "HamiltonianSchedule":
+        return cls((Segment(geom, profile),))
 
 
 def coupling_eval(profile: CouplingProfile, t_over_T):

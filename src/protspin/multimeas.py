@@ -21,8 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import CouplingProfile, MeasurementGeometry, _at_omega0T, _unit_vector, sinc
-from .oracle import HamiltonianSchedule, Segment
+from .core import (
+    CouplingProfile, HamiltonianSchedule, MeasurementGeometry, Segment, _at_omega0T, _unit_vector, sinc,
+)
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
@@ -152,7 +153,7 @@ def combined_field_geometry(config: MultiFieldConfig) -> MeasurementGeometry:
     effective xi and its direction the effective (gamma, eta).  The angles
     come from the unnormalized sum, so a field of any magnitude keeps its
     direction; where the horizontal part is near the subnormal range the
-    azimuth is taken from a rescaled sum (see _rescaled_horizontal).
+    azimuth is taken from the exact sum (see _rescaled_horizontal).
     """
     wx = wy = wz = 0.0
     for f in config.fields:
@@ -170,27 +171,23 @@ def combined_field_geometry(config: MultiFieldConfig) -> MeasurementGeometry:
 
 
 def _rescaled_horizontal(fields) -> tuple[float, float]:
-    """sum_k xi_k sin(gamma_k) (cos(eta_k), sin(eta_k)) times one power of two.
+    """sum_k xi_k sin(gamma_k) (cos(eta_k), sin(eta_k)) over its larger component.
 
-    Each strength xi_k sin(gamma_k) is split into mantissa and exponent, and
-    the terms are scaled by an exact power of two that brings the largest to
-    order one, so no product rounds to a subnormal step.
+    The sums are formed exactly, in rational arithmetic, and rounded once
+    after the division; so neither a product that would round to a subnormal
+    step nor the cancellation of nearly opposite fields costs the azimuth a
+    digit.
     """
-    terms = []
+    from fractions import Fraction  # here, as it loads decimal: 2-3 ms of start-up for a rare branch
+    hx = hy = Fraction(0)
     for f in fields:
-        m_xi, e_xi = math.frexp(f.xi)
-        m_sin, e_sin = math.frexp(math.sin(f.gamma))
-        if m_xi * m_sin:
-            terms.append((m_xi * m_sin, e_xi + e_sin, f.eta))
-    if not terms:
+        h = Fraction(f.xi) * Fraction(math.sin(f.gamma))
+        hx += h * Fraction(math.cos(f.eta))
+        hy += h * Fraction(math.sin(f.eta))
+    scale = max(abs(hx), abs(hy))
+    if not scale:
         return 0.0, 0.0
-    top = max(e for _, e, _ in terms)
-    hx = hy = 0.0
-    for m, e, eta in terms:
-        h = math.ldexp(m, e - top)
-        hx += h * math.cos(eta)
-        hy += h * math.sin(eta)
-    return hx, hy
+    return float(hx / scale), float(hy / scale)
 
 
 def simultaneous_schedule(config: MultiFieldConfig) -> HamiltonianSchedule:

@@ -1,14 +1,15 @@
 """Direct numerical propagation of the two-level Schrodinger equation.
 
 This module is the ground truth the closed forms are checked against.  It
-shares no algebra with them: each time step applies an exact 2x2 unitary
-exp(+i c.sigma) whose exponent c approximates the step's evolution under
-(omega0T/2) [sigma_z + xi gT(s) (n.sigma)].  The default is the
+shares no algebra with them: it imports only core from the package, which
+tests/test_import_graph.py asserts.  Each time step applies an exact 2x2
+unitary exp(+i c.sigma) whose exponent c approximates the step's evolution
+under (omega0T/2) [sigma_z + xi gT(s) (n.sigma)].  The default is the
 two-Gauss-point Magnus rule (fourth order in the step size; Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009) 151), whose commutator term on su(2) is a
 cross product, so a step costs about as much as an exponential midpoint step
-(second order), which crosscheck runs.  Both are exactly unitary at every
-step.
+(second order), which compare.crosscheck runs.  Both are exactly unitary at
+every step.
 
 Every step and every product of steps is an SU(2) matrix, stored as its
 Cayley-Klein pair (alpha, beta) with U = [[alpha, beta], [-conj(beta),
@@ -79,16 +80,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _GRID_TABLE_MIN, _SINC_SERIES, CouplingProfile, MeasurementGeometry, ProfileKind, _cosine_shape,
-    coupling_grid,
+    _GRID_TABLE_MIN, _SINC_SERIES, CouplingProfile, HamiltonianSchedule, MeasurementGeometry, ProfileKind,
+    Segment, SpinState, _cosine_shape, coupling_grid,
 )
-from .dyson import first_order_amplitude
-from .exact import amplitude_exact, survival_split
 
 # First step count of the adaptive doubling, by order of the rule: 4 for
 # propagate's Magnus steps, 2 for crosscheck's midpoint steps.
@@ -119,57 +117,6 @@ _SERIES_COLUMNS = np.array([_COS_SERIES, _SINC_SERIES[:7]]).T[:, :, np.newaxis]
 
 class ConvergenceError(RuntimeError):
     """Adaptive step doubling hit the cap without meeting the tolerance."""
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Spin amplitudes in the protection-field eigenbasis (c_plus, c_minus)."""
-
-    c_plus: complex
-    c_minus: complex
-
-    @classmethod
-    def plus(cls) -> "SpinState":
-        return cls(1.0 + 0.0j, 0.0 + 0.0j)
-
-    @classmethod
-    def minus(cls) -> "SpinState":
-        return cls(0.0 + 0.0j, 1.0 + 0.0j)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c_plus, self.c_minus], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One leg of a schedule: its field, with its own omega0T, and its coupling profile."""
-
-    geom: MeasurementGeometry
-    profile: CouplingProfile
-
-
-@dataclass(frozen=True)
-class HamiltonianSchedule:
-    """Ordered measurement segments covering the full evolution window.
-
-    Each segment's geom.omega0T is the dimensionless budget of that segment
-    alone.  The protection field, hence omega0, is common to all segments,
-    so a segment's share of the window is its share of the summed omega0T.
-    """
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @classmethod
-    def single(cls, geom: MeasurementGeometry, profile: CouplingProfile) -> "HamiltonianSchedule":
-        return cls((Segment(geom, profile),))
 
 
 def _compose(
@@ -641,57 +588,12 @@ def propagate(schedule: HamiltonianSchedule, psi0: SpinState, steps: int | None 
     return SpinState(complex(final[0]), complex(final[1]))
 
 
-def closed_form_deviation(geom: MeasurementGeometry, state: SpinState) -> float:
-    """Largest deviation of state, evolved from |+> at constant coupling, from the closed forms.
-
-    max(|c_minus - A_minus|, |c_plus - A_plus|) with A_minus from
-    amplitude_exact and A_plus the sum of survival_split's two branches.
-    """
-    a_minus = amplitude_exact(geom).amplitude_minus
-    correct, reversed_ = survival_split(geom)
-    return max(abs(state.c_minus - a_minus), abs(state.c_plus - (correct + reversed_)))
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Oracle-versus-closed-form deviations for one geometry and profile."""
-
-    profile_kind: ProfileKind
-    steps_used: int
-    exact_deviation: float | None
-    first_order_deviation: float
-    first_order_relative: float
-    convergence_order: float | None
-
-
-def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> CrosscheckReport:
-    """Propagate |+> through (geom, profile) and compare against closed forms.
-
-    The oracle here is the adaptive midpoint rule, whatever propagate's
-    default.  exact_deviation is only defined for the constant profile (max
-    difference over both amplitudes); the first-order comparison applies to
-    every kind.  The convergence order is a Richardson estimate of the
-    midpoint rule from three coarse runs (2**10 to 2**12 steps) and is None
-    when successive refinements sit at round-off (static Hamiltonian).
-    """
-    schedule = HamiltonianSchedule.single(geom, profile)
+def _midpoint_check(schedule: HamiltonianSchedule) -> tuple[SpinState, int, float | None]:
+    """|+> by the adaptive midpoint rule, the steps taken and the rule's order (see compare.crosscheck)."""
     psi = SpinState.plus().as_array()
     final, steps_used = _propagate_adaptive(schedule, psi, 2)
-    c_plus, c_minus = complex(final[0]), complex(final[1])
-
-    exact_dev = None
-    if profile.kind is ProfileKind.CONSTANT:
-        exact_dev = closed_form_deviation(geom, SpinState(c_plus, c_minus))
-
-    fo = first_order_amplitude(profile, geom).amplitude
-    fo_dev = abs(c_minus - fo)
-    if abs(fo) > 0.0:
-        fo_rel = fo_dev / abs(fo)
-    else:
-        fo_rel = 0.0 if fo_dev == 0.0 else math.inf
-
     order = None
-    if profile.kind is not ProfileKind.CONSTANT:
+    if schedule.segments[0].profile.kind is not ProfileKind.CONSTANT:
         # static Hamiltonians are integrated exactly, leaving only round-off
         grids = [_grids(schedule, 2 ** 10)]
         for _ in range(2):
@@ -701,12 +603,4 @@ def crosscheck(geom: MeasurementGeometry, profile: CouplingProfile) -> Crosschec
         d2 = float(np.max(np.abs(coarse[1] - coarse[2])))
         if d1 > 1e-13 and d2 > 1e-13:
             order = math.log2(d1 / d2)
-
-    return CrosscheckReport(
-        profile_kind=profile.kind,
-        steps_used=steps_used,
-        exact_deviation=exact_dev,
-        first_order_deviation=fo_dev,
-        first_order_relative=fo_rel,
-        convergence_order=order,
-    )
+    return SpinState(complex(final[0]), complex(final[1])), steps_used, order

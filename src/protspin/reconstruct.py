@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_eta, _check_gamma, _unit_vector
-from .oracle import SpinState
+from .core import SpinState, _check_eta, _check_gamma, _unit_vector
 
 ORTHONORMALITY_TOLERANCE = 1e-9
 BLOCH_EXCESS_TOLERANCE = 1e-9

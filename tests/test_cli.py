@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -511,6 +512,55 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: cases must be >= 1, got {cases}\n"
+
+
+GOLDEN_VERIFY = [
+    case for case in json.loads(GOLDEN.read_text())
+    if case["argv"][:1] == ["verify"] and "--help" not in case["argv"]
+]
+
+
+def verify_arguments(argv):
+    """protspin.verify's keyword arguments for a verify argv, and the output format it asks for."""
+    args = build_parser().parse_args(argv)
+    names = ("seed", "cases", "exact_tol", "first_order_tol")
+    return {name: getattr(args, name) for name in names}, args.format
+
+
+class TestLibraryVerify:
+    """protspin.verify is the check matrix the CLI prints; cmd_verify only emits it."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in GOLDEN_VERIFY if c["exit"] in (0, 1)], ids=lambda c: " ".join(c["argv"]),
+    )
+    def test_returns_the_record_the_cli_prints(self, case):
+        kwargs, fmt = verify_arguments(case["argv"])
+        record = json.loads(json.dumps(protspin.verify(**kwargs)))
+        assert case["exit"] == (0 if record["all_passed"] else 1)
+        if fmt == "csv":
+            printed = dict(parse_csv(case["stdout"])[1])
+            assert printed == {key: protspin.cli._scalar_text(v) for key, v in protspin.cli._flatten(record)}
+        else:
+            assert record == json.loads(case["stdout"])
+
+    @pytest.mark.parametrize(
+        "case", [c for c in GOLDEN_VERIFY if c["exit"] == 2], ids=lambda c: " ".join(c["argv"]),
+    )
+    def test_refuses_with_the_cli_message(self, case):
+        kwargs, _ = verify_arguments(case["argv"])
+        with pytest.raises(ValueError) as error:
+            protspin.verify(**kwargs)
+        assert case["stderr"] == f"error: {error.value}\n"
+
+    def test_golden_covers_every_refusal(self):
+        refused = " ".join(" ".join(c["argv"]) for c in GOLDEN_VERIFY if c["exit"] == 2)
+        for flag in ("--cases 0", "--seed -1", "--exact-tol nan", "--exact-tol 0", "--first-order-tol inf"):
+            assert flag in refused
+
+    def test_defaults_are_the_cli_defaults(self):
+        kwargs, _ = verify_arguments(["verify"])
+        defaults = {name: p.default for name, p in inspect.signature(protspin.verify).parameters.items()}
+        assert defaults == kwargs
 
 
 class TestTopLevel:

@@ -225,6 +225,11 @@ class TestScalarGeometry:
     @example(fields=_fields((0.0, 0.0, 0.0), (1.0, 2.2e-311, 1.0), (0.5, 1e-320, 2.5)))
     # opposite z fields leave x = 1e-150 sin(pi); its square underflows
     @example(fields=_fields((1e-150, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-150, math.pi, 0.0)))
+    # two equal fields of subnormal horizontal part nearly cancel: the float
+    # sums gave eta 1.7812499999999991, 1.55e-15 off the decimal reference
+    @example(fields=_fields(
+        (0.0, 0.0, 0.0), (0.078125, 1.1125369292536007e-308, 3.3125), (0.078125, 1.1125369292536007e-308, 0.25),
+    ))
     def test_combined_geometry_matches_numpy(self, fields):
         combined = combined_field_geometry(MultiFieldConfig(fields, omega0T=3.0, relaxed=True))
         xi, gamma, eta = numpy_combined(fields)

@@ -23,6 +23,7 @@ from protspin import (
     Segment,
     SpinState,
     amplitude_exact,
+    compare,
     coupling_eval,
     crosscheck,
     first_order_amplitude,
@@ -913,9 +914,9 @@ class TestNearDegeneratePoint:
         constant = CouplingProfile.constant()
         sched = HamiltonianSchedule.single(geom, constant)
         adaptive = propagate(sched, SpinState.plus())
-        assert oracle.closed_form_deviation(geom, adaptive) < 1e-13
+        assert compare.closed_form_deviation(geom, adaptive) < 1e-13
         midpoint = propagate_midpoint(sched, SpinState.plus(), 2**14)
-        assert oracle.closed_form_deviation(geom, midpoint) < 1e-13
+        assert compare.closed_form_deviation(geom, midpoint) < 1e-13
         assert crosscheck(geom, constant).exact_deviation < 1e-13
 
 
@@ -946,3 +947,60 @@ class TestCrosscheck:
         )
         assert rep.first_order_deviation == 0.0
         assert rep.first_order_relative == 0.0
+
+
+class TestRosenZener:
+    """An exact answer for a driven pulse: the sech switch at gamma = pi/2.
+
+    With n transverse to z the Hamiltonian is (omega0T/2)[sigma_z + xi g(s)
+    n.sigma].  For g(s) = sech((s - 1/2)/tau)/(pi tau), whose integral over
+    the line is 1, Rosen and Zener (Phys. Rev. 40 (1932) 502) found
+    p_minus = sin^2(xi omega0T/2) sech^2(pi omega0T tau/2).  At tau = 1/60
+    the tails cut off by [0, 1] hold about 1e-13 of the pulse, far below the
+    bounds here.  The pulse replaces the raised cosine in the oracle's two
+    coupling functions, and each case takes a fresh profile, whose coupling
+    memo then holds only sech values.  The bounds are relative on p_minus,
+    several times the largest error measured over omega0T 10-200 and xi 1e-3
+    to 0.05 (2e-11 at 2**16 fixed steps, 1.5e-9 adaptive); zeroing the
+    Magnus commutator term makes the fixed-step error 4e-9 to 1.7e-6.
+    """
+
+    TAU = 1.0 / 60.0
+    CASES = [(omega0T, xi) for omega0T in (10.0, 50.0, 200.0) for xi in (1e-3, 0.05)]
+
+    @pytest.fixture
+    def sech_pulse(self, monkeypatch):
+        tau = self.TAU
+
+        def shape(profile, s, width=0.0, inner=1):
+            return 1.0 / (math.pi * tau * np.cosh((s - 0.5) / tau))
+
+        def grid(profile, n, start, stop, offset):
+            return shape(profile, (np.arange(start, stop, dtype=float) + offset) / n)
+
+        monkeypatch.setattr(oracle, "_cosine_shape", shape)
+        monkeypatch.setattr(oracle, "coupling_grid", grid)
+        return grid
+
+    def exact(self, omega0T, xi):
+        return (math.sin(0.5 * xi * omega0T) / math.cosh(0.5 * math.pi * omega0T * self.TAU)) ** 2
+
+    def relative_error(self, omega0T, xi, steps):
+        geom = MeasurementGeometry(xi=xi, gamma=math.pi / 2, eta=0.7, omega0T=omega0T)
+        schedule = HamiltonianSchedule.single(geom, CouplingProfile.raised_cosine())
+        p_minus = abs(propagate(schedule, SpinState.plus(), steps=steps).c_minus) ** 2
+        return abs(p_minus / self.exact(omega0T, xi) - 1.0)
+
+    def test_pulse_is_normalized(self, sech_pulse):
+        # (2/pi) gd(1/(2 tau)), the integral over [0, 1], with gd(x) = 2 atan(tanh(x/2))
+        assert abs(4.0 / math.pi * math.atan(math.tanh(0.25 / self.TAU)) - 1.0) < 1e-12
+        # the midpoint rule is spectrally accurate on a pulse whose ends are flat
+        assert abs(float(np.mean(sech_pulse(None, 2**16, 0, 2**16, 0.5))) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("omega0T, xi", CASES)
+    def test_fixed_steps(self, sech_pulse, omega0T, xi):
+        assert self.relative_error(omega0T, xi, 2**16) < 1e-10
+
+    @pytest.mark.parametrize("omega0T, xi", CASES)
+    def test_adaptive(self, sech_pulse, omega0T, xi):
+        assert self.relative_error(omega0T, xi, None) < 1e-8
