@@ -190,8 +190,9 @@ class CouplingProfile:
     alone): the knot arrays, their _KnotPanels, and the trapezoid integrals
     of gT and |gT|.  Outside the fields too, phased_integral keeps its last
     (omega0T, value), so a run of calls at one frequency integrates once,
-    and every kind has _grid_memo, where the oracle keeps the couplings and
-    step widths of its small batched passes (see oracle._runs).
+    and every kind has _grid_memo, which only the oracle reads and fills:
+    the step widths and couplings of its small batched passes on a driven
+    profile (see oracle._runs).
     """
 
     kind: ProfileKind
@@ -361,71 +362,6 @@ def coupling_eval(profile: CouplingProfile, t_over_T):
         g = np.interp(s, *profile._knots)
     out = np.where((s >= 0.0) & (s <= 1.0), g, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-# Below this many points coupling_grid takes one cosine per point: the fixed
-# cost of building and combining two tables exceeds the cosines it saves.
-_GRID_TABLE_MIN = 1024
-
-
-def coupling_grid(profile: CouplingProfile, n: int, start: int, stop: int, offset: float) -> np.ndarray:
-    """coupling_eval on the uniform grid s_j = (j + offset)/n, j = start..stop-1.
-
-    For a built-in profile and 0 <= offset <= 1, so every s_j lies in [0, 1].
-    The cosine shapes need cos u_j, u_j = 2 pi (s_j - 1/2).  From
-    _GRID_TABLE_MIN points on, that comes by angle addition from two tables
-    of about B = sqrt(stop - start) entries: with j = start + q B + r and
-    d = 2 pi/n,
-
-        cos(u + r d) = cos u - (cos u (1 - cos r d) + sin u sin r d),
-
-    where u runs over the angles coupling_eval takes at every B-th point and
-    1 - cos r d = 2 sin^2(r d/2).  The bracket is small, so its rounding
-    hardly reaches the sum, and the values stay within about 1e-15 of
-    coupling_eval's.  The optimized shape 1 + (4/3) cos u + (1/3) cos 2u is
-    (2/3)(1 + cos u)^2, so it needs no second cosine.
-    """
-    m = stop - start
-    if profile.kind is ProfileKind.CONSTANT:
-        return np.ones(m)
-    if profile.kind is ProfileKind.TABULATED:
-        raise ValueError("coupling_grid takes built-in profiles only")
-    width = 1.0 / n
-    inner = 1 if m < _GRID_TABLE_MIN else math.isqrt(m - 1) + 1
-    u = np.arange(start, stop, inner, dtype=float)
-    u *= width
-    u += offset * width
-    return _cosine_shape(profile, u, width, inner)[:m]
-
-
-def _cosine_shape(profile: CouplingProfile, u: np.ndarray, width: float = 0.0, inner: int = 1) -> np.ndarray:
-    """A cosine-shaped built-in profile at the points u in [0, 1], which it overwrites.
-
-    With inner > 1, each u_q stands for the inner points u_q + r width,
-    r = 0..inner-1, taken by angle addition (see coupling_grid); the result
-    runs over them in order.
-    """
-    u -= 0.5
-    u *= TWO_PI
-    c = np.cos(u)
-    if inner > 1:
-        # the bracket cos u (1 - cos r d) + sin u sin r d, as one matrix product
-        rows = np.empty((u.size, 2))
-        rows[:, 0] = c
-        np.sin(u, out=rows[:, 1])
-        r = np.arange(inner) * (TWO_PI * width)
-        cols = np.empty((2, inner))
-        np.sin(0.5 * r, out=cols[0])
-        cols[0] *= cols[0]
-        cols[0] *= 2.0
-        np.sin(r, out=cols[1])
-        c = np.subtract(c[:, None], rows @ cols)
-    g = c.ravel()
-    g += 1.0
-    if profile.kind is ProfileKind.OPTIMIZED:
-        g *= g
-        g *= 2.0 / 3.0
-    return g
 
 
 def normalization_residual(profile: CouplingProfile) -> float:

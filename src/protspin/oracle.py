@@ -1,78 +1,75 @@
 """Direct numerical propagation of the two-level Schrodinger equation.
 
 This module is the ground truth the closed forms are checked against.  It
-shares no algebra with them: it imports only core from the package, which
-tests/test_import_graph.py asserts.  Each time step applies an exact 2x2
-unitary exp(+i c.sigma) whose exponent c approximates the step's evolution
-under (omega0T/2) [sigma_z + xi gT(s) (n.sigma)].  The default is the
-two-Gauss-point Magnus rule (fourth order in the step size; Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470 (2009) 151), whose commutator term on su(2) is a
-cross product, so a step costs about as much as an exponential midpoint step
-(second order), which compare.crosscheck runs.  Both are exactly unitary at
-every step.
+shares no algebra with them: from the package it imports only public names
+of core, which tests/test_import_graph.py asserts.  Each time step applies an
+exact 2x2 unitary exp(+i c.sigma) whose exponent c approximates the step's
+evolution under (omega0T/2) [sigma_z + xi gT(s) (n.sigma)].  The default is
+the two-Gauss-point Magnus rule (fourth order in the step size; Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose commutator term on
+su(2) is a cross product, so a step costs about as much as an exponential
+midpoint step (second order), which compare.crosscheck runs.  Both are
+exactly unitary at every step.
 
 Every step and every product of steps is an SU(2) matrix, stored as its
 Cayley-Klein pair (alpha, beta) with U = [[alpha, beta], [-conj(beta),
-conj(alpha)]].  Steps are multiplied by pairwise reduction at four complex
-multiplies per product, and each reduced product is rescaled by
-sqrt(|alpha|^2 + |beta|^2) to hold it on SU(2).
+conj(alpha)]].  A step's pair needs cos|c| and sin|c|/|c|.  On a chunk whose
+largest |c|^2 is at most 1/16 (as on the fine refinements, where nearly all
+steps are) they are Taylor series in |c|^2, cut where the first omitted term
+is below 2**-64, so the step costs a few multiplies and no sine or cosine; a
+chunk with larger steps takes np.sin and np.cos.  Each chunk of at most
+_CHUNK steps, and then the chunk factors, are multiplied by pairwise
+reduction at four complex multiplies per product, and each reduced product
+is rescaled by sqrt(|alpha|^2 + |beta|^2) to hold it on SU(2).
 
-A step's pair needs cos|c| and sin|c|/|c|.  On a chunk whose largest |c|^2
-is at most 1/16 (as on the fine refinements, where nearly all steps are)
-they are Taylor series in |c|^2, cut where the first omitted term is
-below 2**-64, so the step costs a few multiplies and no sine or cosine.  A
-chunk with larger steps takes np.sin and np.cos.  On the uniform grid of a
-built-in profile the couplings come from core.coupling_grid, which, on
-chunks of 1024 steps and more, combines two tables of about sqrt(steps)
-cosines by angle addition instead of taking a cosine per step.  On a
-constant profile all steps of a segment are equal, so a chunk computes one
-and repeats it; the reduction still multiplies every copy, so the product
-has the same bits as one built from steps computed one by one.  The full
-chunks of such a segment are then equal too, so a run reduces the first
-once and takes its factor for every other; only a shorter last chunk is
-reduced on its own.
+A nominal step count is shared among the segments by their shares of the
+summed omega0T.  Steps are equal within a segment, except on a tabulated
+profile: there every knot is a step edge and each knot interval is split
+into equal steps, its share of the step count rounded up.  The coupling is
+then linear across every step, so the fourth order holds through the kinks
+of the interpolant, and a knot interval narrower than a step is still
+sampled.  The adaptive rule doubles the step count, from 2**8 Magnus steps
+or 2**14 midpoint steps, until successive refinements agree within
+ADAPTIVE_TOLERANCE; the error of the finer result is then about their
+difference over 15 for the fourth-order rule and over 3 for the midpoint
+rule.
 
-Steps are equal within a segment, except on a tabulated profile: there every
-knot is a step edge and each knot interval is split into equal steps, its
-share of the step count rounded up.  The coupling is then linear across every
-step, so the fourth order holds through the kinks of the interpolant, and a
-knot interval narrower than a step is still sampled.
+Each profile kind is evaluated on the steps one way.  A built-in profile
+takes coupling_grid on each uniform part, which, from _GRID_TABLE_MIN steps
+on, combines two tables of about sqrt(steps) cosines by angle addition
+instead of taking a cosine per step.  A tabulated profile interpolates its
+knots once over a pass, on a uniform grid or a knot-aligned one.
 
-For a constant profile the Hamiltonian is static and the stepping is exact at
-any step count, so adaptive propagation of a schedule whose segments are all
-constant takes one step per segment.  Such a schedule, and one given a fixed
-step count that comes to one step per segment, is computed in scalar
-arithmetic (math and Python complex): on so few steps numpy's fixed cost per
-call would be most of the time.  Otherwise the adaptive rule doubles the
-step count, from 2**8 Magnus steps or 2**14 midpoint steps, until successive
-refinements agree within ADAPTIVE_TOLERANCE; the error of the finer result is
-then about their difference over 15 for the fourth-order rule and over 3 for
-the midpoint rule.  crosscheck always runs the midpoint doubling from 2**14,
-which is the check that static stepping is exact at every step count, and
-estimates the midpoint rule's order.
+All steps of a constant segment are equal, so a run computes one and
+reduces copies of it: one full chunk, whose factor stands for every full
+chunk, and a shorter last chunk.  The reduction still multiplies every copy,
+so the product has the bits of one built from steps computed one by one.
+The Hamiltonian is then static and the stepping exact at any step count, so
+adaptive propagation of a schedule whose segments are all constant takes one
+step per segment.  Such a schedule, and one given a fixed step count that
+comes to one step per segment, is computed in scalar arithmetic (math and
+Python complex): on so few steps numpy's fixed cost per call would be most
+of the time.  crosscheck always runs the midpoint doubling from 2**14, which
+is the check that static stepping is exact at every step count.
 
 Some runs take place whatever the stop test says: propagate's first pair
 (2**8 and 2**9 Magnus steps) and crosscheck's three order runs (2**10 to
-2**12 midpoint steps).  On a single-segment schedule with a driven profile
-each is one chunk on a uniform grid, so they are stepped together: one pass
-of the step kernel over their concatenated steps and one of the reduction.
-Each run keeps its own overflow check, cos and sinc pass and normalization,
-and one of 1024 steps or more its own couplings table, so every result has
-the bits of the runs made one by one.
+2**12 midpoint steps), from which it estimates the midpoint rule's order.
+On a single-segment schedule with a driven profile each is one chunk on a
+uniform grid, so they are stepped together: one pass of the step kernel over
+their concatenated steps and one of the reduction.  Each run keeps its own
+couplings, overflow check, cos and sinc pass and normalization, so every
+result has the bits of the runs made one by one.  A run that comes to one
+factor, as every run of such a pass does, is finished in scalar arithmetic.
 
-What such a pass of parts all below core._GRID_TABLE_MIN steps needs of the
+What such a pass of parts all below _GRID_TABLE_MIN steps needs of the
 profile alone, its step widths and its couplings before the factor xi, is
 kept on the profile (CouplingProfile._grid_memo), filled on first use and
 keyed by the part sizes and the coupling offsets.  Only such passes are
 kept, so the memo is bounded whatever the geometries: in adaptive use it
 holds propagate's first pair alone (crosscheck's order runs are longer),
 and otherwise a fixed steps of 2**k below _GRID_TABLE_MIN on a
-single-segment schedule; a multi-segment schedule keeps nothing.  A run
-that comes to one factor, as every run of such a pass does, is finished in
-scalar arithmetic.  A propagate that stops at 2**9 steps then takes about
-120 us, against 160-170 us for the first call on a profile instance, which
-costs what it did before the memo; crosscheck's order runs take about
-330 us (fastest of 15 timeit repeats on a 2-CPU Intel Xeon machine).
+single-segment schedule; a multi-segment schedule keeps nothing.
 """
 
 from __future__ import annotations
@@ -84,8 +81,7 @@ import math
 import numpy as np
 
 from .core import (
-    _GRID_TABLE_MIN, _SINC_SERIES, CouplingProfile, HamiltonianSchedule, MeasurementGeometry, ProfileKind,
-    Segment, SpinState, _cosine_shape, coupling_grid,
+    TWO_PI, CouplingProfile, HamiltonianSchedule, MeasurementGeometry, ProfileKind, Segment, SpinState,
 )
 
 # First step count of the adaptive doubling, by order of the rule: 4 for
@@ -103,16 +99,20 @@ _CHUNK = 2 ** 14
 # sqrt(3)/6: the distance of the two Gauss-Legendre nodes from the step
 # midpoint, in steps, and the weight of the Magnus commutator term.
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-# Taylor coefficients of cos(x) in p = x^2; those of sin(x)/x are core's
-# _SINC_SERIES.  With n terms the first omitted term is below 2**-64, far
-# under an ulp of the sums (which lie near 1), for every p below
-# _SERIES_REACH[n - 1]; seven terms reach past p = 1/16.
+# Taylor coefficients of cos(x) and sin(x)/x in p = x^2.  With n terms the
+# first omitted term is below 2**-64, far under an ulp of the sums (which lie
+# near 1), for every p below _SERIES_REACH[n - 1]; seven terms reach past
+# p = 1/16.
 _SERIES_MAX_P = 1.0 / 16.0
 _COS_SERIES = tuple((-1) ** k / math.factorial(2 * k) for k in range(7))
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
 _SERIES_REACH = tuple((math.factorial(2 * n) * 2.0 ** -64) ** (1.0 / n) for n in range(1, 8))
 # The cos and sinc coefficients of p**k as a (2, 1) column, which broadcasts
 # over the cos and sinc rows of an output.
-_SERIES_COLUMNS = np.array([_COS_SERIES, _SINC_SERIES[:7]]).T[:, :, np.newaxis]
+_SERIES_COLUMNS = np.array([_COS_SERIES, _SINC_SERIES]).T[:, :, np.newaxis]
+# Below this many points coupling_grid takes one cosine per point: the fixed
+# cost of building and combining two tables exceeds the cosines it saves.
+_GRID_TABLE_MIN = 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -234,46 +234,77 @@ def _overflow(geom: MeasurementGeometry) -> ValueError:
     return ValueError(f"oracle step overflows at xi={geom.xi!r}, omega0T={geom.omega0T!r}")
 
 
+def coupling_grid(profile: CouplingProfile, n: int, start: int, stop: int, offset: float) -> np.ndarray:
+    """core.coupling_eval on the uniform grid s_j = (j + offset)/n, j = start..stop-1.
+
+    For a built-in profile and 0 <= offset <= 1, so every s_j lies in [0, 1].
+    The cosine shapes need cos u_j, u_j = 2 pi (s_j - 1/2), with s_j formed
+    as j/n + offset/n.  From _GRID_TABLE_MIN points on, cos u_j comes by
+    angle addition from two tables of about B = sqrt(stop - start) entries:
+    with j = start + q B + r and d = 2 pi/n,
+
+        cos(u + r d) = cos u - (cos u (1 - cos r d) + sin u sin r d),
+
+    where u runs over the angles at every B-th point and
+    1 - cos r d = 2 sin^2(r d/2).  The bracket is small, so its rounding
+    hardly reaches the sum, and the values stay within about 1e-15 of
+    coupling_eval's.  The optimized shape 1 + (4/3) cos u + (1/3) cos 2u is
+    (2/3)(1 + cos u)^2, so it needs no second cosine.
+    """
+    m = stop - start
+    if profile.kind is ProfileKind.CONSTANT:
+        return np.ones(m)
+    width = 1.0 / n
+    inner = 1 if m < _GRID_TABLE_MIN else math.isqrt(m - 1) + 1
+    u = np.arange(start, stop, inner, dtype=float)
+    u *= width
+    u += offset * width
+    u -= 0.5
+    u *= TWO_PI
+    c = np.cos(u)
+    if inner > 1:
+        # the bracket cos u (1 - cos r d) + sin u sin r d, as one matrix product
+        rows = np.empty((u.size, 2))
+        rows[:, 0] = c
+        np.sin(u, out=rows[:, 1])
+        r = np.arange(inner) * (TWO_PI * width)
+        cols = np.empty((2, inner))
+        np.sin(0.5 * r, out=cols[0])
+        cols[0] *= cols[0]
+        cols[0] *= 2.0
+        np.sin(r, out=cols[1])
+        c = np.subtract(c[:, None], rows @ cols)
+    g = c.ravel()[:m]
+    g += 1.0
+    if profile.kind is ProfileKind.OPTIMIZED:
+        g *= g
+        g *= 2.0 / 3.0
+    return g
+
+
 def _couplings(profile: CouplingProfile, parts: list[tuple], sizes: list[int], offsets: tuple) -> tuple:
     """Step widths, and couplings gT before xi at left + offset width, of the steps of parts.
 
     parts are as in _steps.  The widths are a float for a lone uniform part
     and one per step otherwise; the couplings are one fresh array per offset.
+    A built-in profile takes coupling_grid part by part.  A tabulated profile
+    takes one np.interp on its knots over the whole pass, which is
+    coupling_eval inside (0, 1), where every sample lies.
     """
     (edges, counts), start, stop = parts[0]
     if edges is not None:
         # a knot-aligned grid, in a part of its own
         left, width = _step_edges(edges, counts, start, stop)
-        shared, shared_width = 1, width
     else:
-        widths = [1.0 / grid[1] for grid, _, _ in parts]
-        width = _per_step(widths, sizes)
-        # The first `shared` parts take their couplings from one evaluation
-        # at left + offset width: every part on a tabulated profile, and on a
-        # cosine shape those below _GRID_TABLE_MIN steps.  The longer ones
-        # (the rest, as parts ascend) each call coupling_grid, whose table
-        # split depends on the part's length.
-        if profile.kind is ProfileKind.TABULATED:
-            shared = len(parts)
-        elif profile.kind is ProfileKind.CONSTANT:
-            shared = 0
-        else:
-            shared = sum(size < _GRID_TABLE_MIN for size in sizes)
-        if shared:
-            left = _joined([np.arange(start, stop, dtype=float) for _, start, stop in parts[:shared]])
-            shared_width = _per_step(widths[:shared], sizes[:shared])
-            left *= shared_width
-    couplings = []
-    for offset in offsets:
-        pieces = [
-            coupling_grid(profile, grid[1], start, stop, offset) for grid, start, stop in parts[shared:]
-        ]
-        if shared:
-            s = left + offset * shared_width
-            pieces.insert(0, np.interp(s, *profile._knots) if profile.kind is ProfileKind.TABULATED
-                          else _cosine_shape(profile, s))
-        couplings.append(_joined(pieces))
-    return width, couplings
+        width = _per_step([1.0 / grid[1] for grid, _, _ in parts], sizes)
+        if profile.kind is not ProfileKind.TABULATED:
+            return width, [
+                _joined([coupling_grid(profile, grid[1], start, stop, offset) for grid, start, stop in parts])
+                for offset in offsets
+            ]
+        left = _joined([np.arange(start, stop, dtype=float) for _, start, stop in parts])
+        left *= width
+    return width, [np.interp(left + offset * width, *profile._knots) for offset in offsets]
 
 
 def _memoized_couplings(
@@ -310,15 +341,8 @@ def _steps(
     the two rules equal, so it takes the one-point form.  Then alpha =
     cos|c| + i c_z sin|c|/|c| and beta = (c_y + i c_x) sin|c|/|c|.
 
-    On a constant profile every step of the (uniform) grid is the same, so
-    only step start of its one part is computed and its pair is returned
-    repeated; _compose still multiplies every copy.  Otherwise, on a uniform
-    grid a built-in profile's couplings come from core.coupling_grid, which
-    calls no cosine per step on a part of core._GRID_TABLE_MIN steps or
-    more; shorter parts share one cosine evaluation.  Tabulated profiles
-    take np.interp on their knots, which is coupling_eval inside (0, 1),
-    where every sample lies.  If memoized, the widths and the couplings
-    before xi come from the profile's memo (_memoized_couplings), filled on
+    The widths and the couplings before xi come from _couplings, or, if
+    memoized, from the profile's memo (_memoized_couplings), filled on
     first use; the product with xi then goes to a fresh array, which has the
     bits of the product in place.  If every step of a part has
     p = |c|^2 <= 1/16, cos|c| and sin|c|/|c| are their Taylor series in p,
@@ -328,11 +352,6 @@ def _steps(
     """
     geom = seg.geom
     profile = seg.profile
-    if profile.kind is ProfileKind.CONSTANT:
-        [(grid, start, stop)] = parts
-        if stop - start > 1:
-            alpha, beta = _steps(seg, [(grid, start, start + 1)], order)
-            return np.full(stop - start, alpha[0]), np.full(stop - start, beta[0])
     sizes = [stop - start for _, start, stop in parts]
     ends = list(itertools.accumulate(sizes))
     one_point = order == 2 or profile.kind is ProfileKind.CONSTANT
@@ -436,18 +455,20 @@ def _runs(
     """_run on each list of grids, with the runs that fit one chunk stepped together.
 
     Each chunk of at most _CHUNK steps reduces to one factor, and the chunk
-    factors then reduce through the same kernel, in the order applied.  A
-    constant segment's full chunks hold the same steps, so its first full
-    chunk is reduced once and that factor is listed for each of them; a
-    shorter last chunk is reduced on its own.  The factor list, hence the
-    product, has the bits of one with every chunk reduced.
+    factors then reduce through the same kernel, in the order applied.  All
+    steps of a constant segment are equal, so its first step alone goes
+    through _steps.  Copies of it fill one full chunk, which is reduced once
+    and its factor listed for each full chunk, and a shorter last chunk,
+    reduced on its own.  _compose still multiplies every copy, so the factor
+    list, hence the product, has the bits of one with every step computed
+    and every chunk reduced.
 
     On a single-segment schedule whose profile is not constant, the runs on
     a uniform grid of a power-of-two step count of at most _CHUNK are one
     chunk each.  They go through one _steps and one _compose pass as parts
     in ascending length, which gives each the bits of its own pass.  If
     every part is below _GRID_TABLE_MIN steps, the pass takes its widths and
-    couplings from the profile's memo (see _steps): in adaptive use that is
+    couplings from the profile's memo (_memoized_couplings): in adaptive use it is
     propagate's first pair alone, and otherwise a fixed steps of 2**k below
     _GRID_TABLE_MIN.  Those are the only keys, so the memo stays bounded.
 
@@ -474,10 +495,15 @@ def _runs(
         for seg, grid in zip(schedule.segments, grids):
             edges, counts = grid
             total = counts if edges is None else int(counts.sum())
-            full = total // _CHUNK if seg.profile.kind is ProfileKind.CONSTANT else 0
-            if full:
-                run_factors += _compose(*_steps(seg, [(grid, 0, _CHUNK)], order)) * full
-            for start in range(full * _CHUNK, total, _CHUNK):
+            if seg.profile.kind is ProfileKind.CONSTANT:
+                [a], [b] = _steps(seg, [(grid, 0, 1)], order)
+                full, rest = divmod(total, _CHUNK)
+                if full:
+                    run_factors += _compose(np.full(_CHUNK, a), np.full(_CHUNK, b)) * full
+                if rest:
+                    run_factors += _compose(np.full(rest, a), np.full(rest, b))
+                continue
+            for start in range(0, total, _CHUNK):
                 run_factors += _compose(*_steps(seg, [(grid, start, min(start + _CHUNK, total))], order))
     p0, p1 = complex(psi[0]), complex(psi[1])
     finals = []

@@ -24,7 +24,8 @@ from protspin import (
     reconstruct_state,
     tilted_field,
 )
-from protspin.core import _check_gamma, coupling_grid
+from protspin.core import _check_gamma
+from protspin.oracle import coupling_grid
 
 
 def simpson_phased_integral(profile, omega0T, n=2**16):

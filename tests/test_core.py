@@ -233,6 +233,10 @@ class TestTabulatedProfiles:
         with pytest.raises(ValueError, match="finite"):
             CouplingProfile.tabulated([(0.0, 1.0), (0.5, math.nan), (1.0, 1.0)])
 
+    def test_built_in_kind_refuses_samples(self):
+        with pytest.raises(ValueError, match="samples are only meaningful for tabulated profiles"):
+            CouplingProfile(ProfileKind.CONSTANT, ((0.0, 1.0), (1.0, 1.0)))
+
     def test_knot_arrays_are_built_once_and_read_only(self):
         prof = CouplingProfile.tabulated([(0.0, 0.0), (0.25, 1.0), (0.5, 2.0), (1.0, 0.0)])
         s, v = prof._knots

@@ -111,6 +111,13 @@ class TestAmplitudeEnvelope:
         with pytest.raises(DegenerateFieldError):
             amplitude_envelope(MeasurementGeometry(xi=1.0, gamma=math.pi))
 
+    def test_clamps_round_off_above_one(self):
+        # 1 + xi cos(gamma) = 0: the total field is transverse, the envelope
+        # probability is 1, and unclamped |amp|^2 rounds to 1.0000000000000004
+        res = amplitude_envelope(MeasurementGeometry(xi=34.07639320968429, gamma=1.6001463691866273))
+        assert res.probability_minus == 1.0
+        assert abs(res.amplitude_minus) <= 1.0
+
     @given(geometries)
     # sin(gamma) subnormal: |A_exact| is 5e-324 and the envelope rounds to 0.0
     @example(MeasurementGeometry(xi=1.25, gamma=5e-324, omega0T=1.0))

@@ -60,6 +60,17 @@ def test_oracle_imports_only_core():
     assert package_imports("oracle") == {"core"}
 
 
+def test_oracle_takes_only_public_names_from_core():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    names = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core"
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if name.startswith("_")] == []
+
+
 def test_core_imports_nothing_from_the_package():
     assert package_imports("core") == set()
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import protspin
 from protspin import (
     CouplingProfile,
+    HamiltonianSchedule,
     MeasurementGeometry,
     MultiFieldConfig,
     SpinState,
@@ -356,6 +357,10 @@ class TestSuccessiveAmplitude:
 
 
 class TestSchedules:
+    def test_empty_schedule_is_refused(self):
+        with pytest.raises(ValueError, match="schedule needs at least one segment"):
+            HamiltonianSchedule(())
+
     def test_simultaneous_schedule_is_single_segment(self):
         config = axes_config(omega0T=12.0)
         sched = simultaneous_schedule(config)

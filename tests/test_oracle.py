@@ -33,7 +33,7 @@ from protspin import (
     successive_schedule,
     survival_split,
 )
-from protspin.core import _GRID_TABLE_MIN, coupling_grid
+from protspin.oracle import _GRID_TABLE_MIN, coupling_grid
 from helpers import (
     propagate_midpoint, random_geometries, reference_adaptive, reference_run, reference_runs,
     richardson_minus,
@@ -648,7 +648,7 @@ class TestKernelBits:
 
 
 # Step counts of runs stepped together: the adaptive drivers' first pair and
-# order runs, parts below and above core._GRID_TABLE_MIN, equal parts, and a
+# order runs, parts below and above _GRID_TABLE_MIN, equal parts, and a
 # part of a whole chunk.
 BATCHES = ((2**8, 2**9), (2**10, 2**11, 2**12), (2**8, 2**11), (2**9, 2**9), (2**8, 2**14))
 ADAPTIVE_PROFILES = [*KERNEL_PROFILES[:2], EVEN_TABULATED, UNEVEN_TABULATED]
@@ -744,7 +744,7 @@ class TestGridMemo:
 
     @pytest.mark.parametrize("profile", MEMO_PROFILES, ids=profile_id)
     def test_warm_first_pass_evaluates_no_coupling(self, monkeypatch, profile):
-        calls = {"_cosine_shape": 0, "interp": 0}
+        calls = {"coupling_grid": 0, "interp": 0}
 
         def count(key, func):
             def counted(*args, **kwargs):
@@ -752,17 +752,19 @@ class TestGridMemo:
                 return func(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(oracle, "_cosine_shape", count("_cosine_shape", oracle._cosine_shape))
+        monkeypatch.setattr(oracle, "coupling_grid", count("coupling_grid", oracle.coupling_grid))
         monkeypatch.setattr(np, "interp", count("interp", np.interp))
         geom = MeasurementGeometry(xi=0.01, gamma=1.0, eta=0.3, omega0T=5.0)
         sched = HamiltonianSchedule.single(geom, profile)
         psi = SpinState.plus().as_array()
         profile._grid_memo.clear()
         oracle._runs(sched, psi, first_pair(sched), 4)
-        assert sum(calls.values()) == 2  # cold: one evaluation at each Gauss point
+        # cold: a built-in profile evaluates each part at each Gauss point, a
+        # tabulated one the whole pass at each Gauss point
+        assert sum(calls.values()) == (2 if profile.kind is ProfileKind.TABULATED else 4)
         calls.update(dict.fromkeys(calls, 0))
         oracle._runs(sched, psi, first_pair(sched), 4)
-        assert calls == {"_cosine_shape": 0, "interp": 0}
+        assert calls == {"coupling_grid": 0, "interp": 0}
 
     def test_holds_read_only_arrays(self):
         profile = CouplingProfile.optimized()
@@ -957,8 +959,8 @@ class TestRosenZener:
     the line is 1, Rosen and Zener (Phys. Rev. 40 (1932) 502) found
     p_minus = sin^2(xi omega0T/2) sech^2(pi omega0T tau/2).  At tau = 1/60
     the tails cut off by [0, 1] hold about 1e-13 of the pulse, far below the
-    bounds here.  The pulse replaces the raised cosine in the oracle's two
-    coupling functions, and each case takes a fresh profile, whose coupling
+    bounds here.  The pulse replaces the raised cosine in the oracle's
+    coupling function, and each case takes a fresh profile, whose coupling
     memo then holds only sech values.  The bounds are relative on p_minus,
     several times the largest error measured over omega0T 10-200 and xi 1e-3
     to 0.05 (2e-11 at 2**16 fixed steps, 1.5e-9 adaptive); zeroing the
@@ -972,13 +974,10 @@ class TestRosenZener:
     def sech_pulse(self, monkeypatch):
         tau = self.TAU
 
-        def shape(profile, s, width=0.0, inner=1):
+        def grid(profile, n, start, stop, offset):
+            s = (np.arange(start, stop, dtype=float) + offset) / n
             return 1.0 / (math.pi * tau * np.cosh((s - 0.5) / tau))
 
-        def grid(profile, n, start, stop, offset):
-            return shape(profile, (np.arange(start, stop, dtype=float) + offset) / n)
-
-        monkeypatch.setattr(oracle, "_cosine_shape", shape)
         monkeypatch.setattr(oracle, "coupling_grid", grid)
         return grid
 

@@ -89,6 +89,14 @@ class TestExpectationTriple:
         with pytest.raises(ValueError):
             ExpectationTriple(directions=dirs, values=(0.1, 0.1, 0.1))
 
+    def test_rejects_two_directions(self):
+        with pytest.raises(ValueError, match="directions must be three 3-vectors"):
+            ExpectationTriple(directions=AXES[:2], values=(0.1, 0.1, 0.1))
+
+    def test_rejects_two_values(self):
+        with pytest.raises(ValueError, match="exactly three expectation values required"):
+            ExpectationTriple(directions=AXES, values=(0.1, 0.1))
+
     def test_rejects_vectors_far_outside_bloch_ball(self):
         with pytest.raises(ValueError):
             ExpectationTriple(directions=AXES, values=(1.0, 1.0, 1.0))
